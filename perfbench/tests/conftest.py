@@ -1,0 +1,8 @@
+import pathlib
+import sys
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1]
+REPO = PERFBENCH.parent
+for path in (PERFBENCH, REPO / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
