@@ -28,16 +28,16 @@ detcheck:
 ## tier-1 runs the same tests at the small smoke budget)
 fuzz:
 	REPRO_FUZZ_PROFILE=differential $(PYTHON) -m pytest \
-	    tests/differential tests/scenarios/test_backend_fuzz.py -q
+	    tests/differential tests/simulate/test_engine_fuzz.py -q
 
 ## regenerate benchmarks/BENCH_sim_core.json (engine events/sec, fig5b
-## sweep wall-time legs, batched-dispatch legs, fabric service/store
+## sweep wall-time legs, section-batching legs, fabric service/store
 ## legs) and print the tables; test_perf_engine.py rewrites the JSON,
 ## the others merge their legs in, so the order matters
 bench:
 	$(PYTHON) -m pytest benchmarks/test_perf_engine.py \
-	    benchmarks/test_perf_batch.py benchmarks/test_perf_backend.py \
-	    benchmarks/test_perf_fabric.py -q -s
+	    benchmarks/test_perf_batch.py benchmarks/test_perf_fabric.py \
+	    -q -s
 
 ## docs: executable snippets in docs/*.md + intra-repo markdown links
 docs-check:

@@ -10,7 +10,8 @@ import dataclasses
 
 from repro.analysis import fixed_resource_efficiency, format_table
 from repro.apps.hpccg import KernelBenchConfig, hpccg_kernel_bench
-from repro.experiments import granularity_sweep, run_mode
+import repro
+from repro.experiments import granularity_sweep, scenario_for
 
 
 def test_granularity_sweep_sparsemv(run_once, save_table):
@@ -37,13 +38,15 @@ def test_granularity_sweep_ddot_shows_sync_overhead(run_once,
     def sweep():
         base = KernelBenchConfig(nx=32, ny=32, nz=16, reps=3,
                                  kernels=("ddot",))
-        native = run_mode("native", hpccg_kernel_bench, 8, base)
+        native = repro.run(scenario_for("native", hpccg_kernel_bench,
+                                        8, base))
         t_native = native.timers["ddot"]
         out = []
         for nt in (2, 8, 64):
             cfg = dataclasses.replace(base.with_doubled_z(),
                                       tasks_per_section=nt)
-            intra = run_mode("intra", hpccg_kernel_bench, 8, cfg)
+            intra = repro.run(scenario_for("intra", hpccg_kernel_bench,
+                                           8, cfg))
             out.append((nt, fixed_resource_efficiency(
                 t_native, intra.timers["ddot"])))
         return out

@@ -1,19 +1,18 @@
 """Batched-dispatch benchmark → the ``batched_dispatch`` leg of
 ``benchmarks/BENCH_sim_core.json``.
 
-PR 3 made batch execution a first-class engine concept: the run loop
-coalesces sole-earliest sleep wakes past the heap
-(:meth:`repro.simulate.Simulator.run_batched`), and
+PR 3 made batch execution a first-class engine concept:
 :class:`repro.intra.LocalIntraRuntime` charges a whole section as one
 multi-segment compute descriptor (one engine event instead of one per
-task).  Both are order-exact optimizations — results are bit-identical
-to the PR 1 fast path — so this benchmark measures pure dispatch speed:
+task).  Section batching is an order-exact optimization — results are
+bit-identical to task-by-task dispatch on the PR 1 fast path — so this
+benchmark measures pure dispatch speed:
 
 * **section dispatch microbenchmark** — ranks running back-to-back
   sections of zero-work tasks with nonzero roofline costs, i.e. nothing
   but event dispatch, generator resumes and section bookkeeping.  The
-  acceptance gate asserts the batched configuration is ≥ 1.3× faster
-  than the PR 1 fast path (``Simulator.run`` + task-by-task sections).
+  acceptance gate asserts section batching is ≥ 1.3× faster than the
+  PR 1 fast path (``Simulator.run`` + task-by-task sections).
 * **work-sharing section microbenchmark** (PR 4) — the same shape
   through the *work-sharing* ``IntraRuntime`` (2 replicas of one
   logical rank splitting each section): split-on-send batching
@@ -21,9 +20,6 @@ to the PR 1 fast path — so this benchmark measures pure dispatch speed:
   section-shape pooling recycles the ``LaunchedTask``/``TaskDef``
   bookkeeping.  Gate: ≥ 1.3× vs the PR 3 state (task-by-task
   work-sharing sections, per-section allocation).
-* **sleep coalescing microbenchmark** — a pure engine workload shaped
-  like a compute-only stretch (one fast sleeper, peers on slow clocks),
-  isolating the ``run`` vs ``run_batched`` heap-bypass win.
 * **fig5b warm-serial** — the end-to-end Figure 5b sweep, batched vs
   PR 1 dispatch, including a bit-identity assertion on every result row
   and an improvement gate against the PR 1 recording of
@@ -43,13 +39,11 @@ import typing as _t
 import numpy as np
 
 import repro.intra.runtime as runtime_mod
-import repro.simulate.engine as engine_mod
 from repro.experiments.fig5 import fig5b
 from repro.intra import (Tag, launch_intra_job, launch_native_job,
                          set_section_batching, set_task_pooling)
 from repro.mpi import MpiWorld
 from repro.netmodel import GRID5000_MACHINE, GRID5000_NETWORK, Cluster
-from repro.simulate import Simulator
 
 BENCH_JSON = pathlib.Path(__file__).parent / "BENCH_sim_core.json"
 
@@ -106,8 +100,6 @@ def _section_program(ctx, comm, n_sections, n_tasks):
 
 
 def _time_section_workload(batched: bool) -> float:
-    prev_engine = engine_mod.BATCHED_DEFAULT
-    engine_mod.BATCHED_DEFAULT = batched
     prev_sections = set_section_batching(batched)
     try:
         world = MpiWorld(Cluster(1, GRID5000_MACHINE), GRID5000_NETWORK)
@@ -117,7 +109,6 @@ def _time_section_workload(batched: bool) -> float:
         world.run()
         return time.perf_counter() - t0
     finally:
-        engine_mod.BATCHED_DEFAULT = prev_engine
         set_section_batching(prev_sections)
 
 
@@ -125,8 +116,7 @@ def _time_worksharing_workload(optimized: bool) -> float:
     """The PR 4 gate workload: work-sharing sections of silent (IN-only)
     costed tasks.  ``optimized`` enables split-on-send batching *and*
     section-shape pooling; the baseline is the PR 3 state — task-by-task
-    `IntraRuntime` sections with per-section object allocation (engine
-    wake coalescing stays on in both: it predates this leg)."""
+    `IntraRuntime` sections with per-section object allocation."""
     prev_sections = set_section_batching(optimized)
     prev_pooling = set_task_pooling(optimized)
     try:
@@ -142,35 +132,15 @@ def _time_worksharing_workload(optimized: bool) -> float:
         set_task_pooling(prev_pooling)
 
 
-def _sleep_chain(sim, yields, dt):
-    for _ in range(yields):
-        yield sim.sleep(dt)
-
-
-def _time_sleep_workload(batched: bool, yields: int = 200_000) -> float:
-    """One fast sleeper + 7 slow ones: the fast sleeper's wakes are
-    almost always the sole earliest event, the shape ``run_batched``'s
-    defer slot targets."""
-    sim = Simulator()
-    sim.process(_sleep_chain(sim, yields, 0.001))
-    for p in range(7):
-        sim.process(_sleep_chain(sim, yields // 50, 1.7 + 0.13 * p))
-    t0 = time.perf_counter()
-    (sim.run_batched if batched else sim.run)()
-    return time.perf_counter() - t0
-
-
 def _time_fig5b_pair(repeats: int = 5) -> _t.Tuple[float, float]:
-    """Median wall time of the warm fig5b sweep under PR 1 dispatch and
-    under batched dispatch.  Samples are interleaved with alternating
+    """Median wall time of the warm fig5b sweep under PR 1 dispatch
+    (task-by-task sections) and under section batching.  Samples are interleaved with alternating
     order (AB/BA/AB/...) so noise and drift on the 1-CPU container hit
     both configurations equally."""
-    prev_engine = engine_mod.BATCHED_DEFAULT
     prev_sections = set_section_batching(True)
     pr1, batched = [], []
 
     def one(batch: bool, samples: _t.List[float]) -> None:
-        engine_mod.BATCHED_DEFAULT = batch
         set_section_batching(batch)
         gc.collect()
         t0 = time.perf_counter()
@@ -184,25 +154,20 @@ def _time_fig5b_pair(repeats: int = 5) -> _t.Tuple[float, float]:
                 one(batch, samples)
         return statistics.median(pr1), statistics.median(batched)
     finally:
-        engine_mod.BATCHED_DEFAULT = prev_engine
         set_section_batching(prev_sections)
 
 
 def _fig5b_rows(batched: bool):
-    prev_engine = engine_mod.BATCHED_DEFAULT
-    engine_mod.BATCHED_DEFAULT = batched
     prev_sections = set_section_batching(batched)
     try:
         return fig5b(process_counts=FIG5B_POINTS)
     finally:
-        engine_mod.BATCHED_DEFAULT = prev_engine
         set_section_batching(prev_sections)
 
 
 def test_bench_batched_dispatch(save_table):
-    assert (runtime_mod.BATCH_SECTIONS and engine_mod.BATCHED_DEFAULT
-            and runtime_mod.POOL_TASKS), \
-        "batched dispatch + task pooling must be the default configuration"
+    assert runtime_mod.BATCH_SECTIONS and runtime_mod.POOL_TASKS, \
+        "section batching + task pooling must be the default configuration"
 
     # ---- bit-identity: batched == PR 1 dispatch, row for row --------
     rows_batched = _fig5b_rows(batched=True)
@@ -231,15 +196,6 @@ def test_bench_batched_dispatch(save_table):
     opt_worksharing = statistics.median(ws_opt_samples)
     worksharing_speedup = pr3_worksharing / opt_worksharing
 
-    # ---- pure sleep-coalescing microbenchmark -----------------------
-    sleep_pr1_samples, sleep_batched_samples = [], []
-    for _ in range(3):
-        sleep_pr1_samples.append(_time_sleep_workload(batched=False))
-        sleep_batched_samples.append(_time_sleep_workload(batched=True))
-    pr1_sleep = statistics.median(sleep_pr1_samples)
-    batched_sleep = statistics.median(sleep_batched_samples)
-    sleep_speedup = pr1_sleep / batched_sleep
-
     # ---- fig5b warm serial ------------------------------------------
     fig5b_pr1, fig5b_batched = _time_fig5b_pair()
     # calibrate the pinned PR 1 recording to this host's current speed
@@ -261,12 +217,6 @@ def test_bench_batched_dispatch(save_table):
             "pr3_taskbytask_s": round(pr3_worksharing, 4),
             "split_on_send_pooled_s": round(opt_worksharing, 4),
             "speedup": round(worksharing_speedup, 3),
-        },
-        "sleep_microbench": {
-            "workload": "1 fast sleeper x 200k wakes + 7 slow sleepers",
-            "pr1_dispatch_s": round(pr1_sleep, 4),
-            "batched_s": round(batched_sleep, 4),
-            "speedup": round(sleep_speedup, 3),
         },
         "fig5b_warm_serial": {
             "pr1_dispatch_s": round(fig5b_pr1, 4),
@@ -295,9 +245,6 @@ def test_bench_batched_dispatch(save_table):
              f"work-sharing microbench PR3   | {pr3_worksharing:>10.3f} s",
              f"work-sharing split-on-send    | {opt_worksharing:>10.3f} s",
              f"work-sharing section speedup  | {worksharing_speedup:>10.2f} x",
-             f"sleep microbench PR1          | {pr1_sleep:>10.3f} s",
-             f"sleep microbench batched      | {batched_sleep:>10.3f} s",
-             f"sleep coalescing speedup      | {sleep_speedup:>10.2f} x",
              f"fig5b warm PR1 dispatch       | {fig5b_pr1:>10.3f} s",
              f"fig5b warm batched            | {fig5b_batched:>10.3f} s",
              f"fig5b vs PR1 recording        | "
@@ -315,9 +262,6 @@ def test_bench_batched_dispatch(save_table):
         f"split-on-send + pooling is only {worksharing_speedup:.2f}x "
         f"faster than the PR 3 task-by-task work-sharing path "
         f"(need >= 1.3x)")
-    # the heap-bypass must help, never hurt, on its target shape
-    assert sleep_speedup >= 1.0, (
-        f"sleep coalescing regressed the engine: {sleep_speedup:.2f}x")
     # batching must not regress the end-to-end sweep (parity within the
     # 1-CPU container's noise floor; the dispatch win is concentrated in
     # the microbenchmarks, the end-to-end win in the vectorized kernels)

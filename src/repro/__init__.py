@@ -63,7 +63,7 @@ from __future__ import annotations
 import importlib
 import typing as _t
 
-__version__ = "1.5.0"
+__version__ = "2.0.0"
 
 #: lazily-importable subsystem modules
 _SUBSYSTEMS = ("analysis", "api", "apps", "experiments", "fabric",
@@ -73,15 +73,13 @@ _SUBSYSTEMS = ("analysis", "api", "apps", "experiments", "fabric",
 #: facade callables re-exported from :mod:`repro.api`
 _FACADE = ("compare", "iter_sweep", "run", "scenario", "sweep")
 
-#: result/spec types and engine toggles re-exported at the top level
+#: result/spec types re-exported at the top level
 _TYPES = {"RunResult": "results", "ResultSet": "results",
           "Scenario": "scenarios", "RestartPolicy": "scenarios",
           "GridFamily": "scenarios", "register_grid": "scenarios",
           "grid_names": "scenarios",
           "PointFailure": "perf",
-          "Fabric": "fabric", "FabricClient": "fabric",
-          "get_engine_backend": "simulate",
-          "set_engine_backend": "simulate"}
+          "Fabric": "fabric", "FabricClient": "fabric"}
 
 __all__ = sorted(("__version__",) + _SUBSYSTEMS + _FACADE
                  + tuple(_TYPES))
@@ -96,7 +94,6 @@ if _t.TYPE_CHECKING:  # pragma: no cover - static import surface
     from .results import ResultSet, RunResult
     from .scenarios import (GridFamily, RestartPolicy, Scenario,
                             grid_names, register_grid)
-    from .simulate import get_engine_backend, set_engine_backend
 
 
 def __getattr__(name: str) -> _t.Any:

@@ -11,8 +11,8 @@ from .ablations import (AblationRow, copy_strategy_comparison,
                         minighost_stencil_ablation, placement_sweep,
                         scheduler_comparison)
 from .background import BackgroundRow, ccr_vs_replication, crossover_point
-from .common import (ModeRun, nodes_for, run_mode, scenario_for,
-                     sweep_scenarios, three_mode_rows)
+from .common import (ModeRun, nodes_for, scenario_for, sweep_scenarios,
+                     three_mode_rows)
 from .extensions import (DegreeSweepRow, FailureSweepRow, PoissonRow,
                          degree_sweep, failure_time_sweep,
                          poisson_failure_rows)
@@ -28,7 +28,6 @@ __all__ = [
     "fig6c", "fig6d", "granularity_sweep", "inout_overhead",
     "DegreeSweepRow", "FailureSweepRow", "degree_sweep",
     "failure_time_sweep", "minighost_stencil_ablation", "nodes_for",
-    "placement_sweep", "poisson_failure_rows", "run_mode",
-    "scenario_for", "scheduler_comparison", "sweep_scenarios",
-    "three_mode_rows",
+    "placement_sweep", "poisson_failure_rows", "scenario_for",
+    "scheduler_comparison", "sweep_scenarios", "three_mode_rows",
 ]

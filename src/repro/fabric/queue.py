@@ -38,6 +38,8 @@ import threading
 import time
 import typing as _t
 
+from .store import connect_wal
+
 __all__ = ["Lease", "QueueStats", "WorkQueue", "QUEUE_FILENAME",
            "STATES"]
 
@@ -132,9 +134,7 @@ class WorkQueue:
         conn = getattr(self._local, "conn", None)
         if conn is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            conn = sqlite3.connect(self.path, timeout=30.0)
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
+            conn = connect_wal(self.path)
             conn.executescript(_SCHEMA)
             conn.commit()
             self._local.conn = conn

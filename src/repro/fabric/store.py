@@ -52,6 +52,38 @@ __all__ = ["CACHE_BACKENDS", "CACHE_BACKEND_DEFAULT", "FileStore",
            "open_store", "resolve_cache_backend", "set_cache_backend",
            "SQLITE_FILENAME"]
 
+#: how long an SQLite connection waits for another connection's lock
+BUSY_TIMEOUT = 30.0
+
+
+def connect_wal(path: pathlib.Path) -> sqlite3.Connection:
+    """Open ``path`` with a :data:`BUSY_TIMEOUT` busy timeout, in WAL
+    journal mode with ``synchronous=NORMAL``.
+
+    Switching the journal mode needs the write lock, and SQLite answers
+    a held lock there with "database is locked" at once instead of
+    running the busy handler — so two connections opening a fresh
+    database together would fail well inside the timeout.  The pragma
+    is retried until :data:`BUSY_TIMEOUT` runs out.
+    """
+    conn = sqlite3.connect(path, timeout=BUSY_TIMEOUT)
+    deadline = time.monotonic() + BUSY_TIMEOUT
+    delay = 0.005
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            break
+        except sqlite3.OperationalError as exc:
+            if ("locked" not in str(exc)
+                    or time.monotonic() + delay > deadline):
+                conn.close()
+                raise
+            time.sleep(delay)
+            delay = min(delay * 2, 0.1)
+    conn.execute("PRAGMA synchronous=NORMAL")
+    return conn
+
+
 #: the recognized cache-store backend names, in documentation order
 CACHE_BACKENDS: _t.Tuple[str, ...] = ("file", "sqlite")
 
@@ -67,7 +99,7 @@ def _env_backend(name: str = _ENV_VAR) -> str:
     A garbage value must not make ``import repro.fabric`` (or the sweep
     driver that lazily opens stores) raise or silently flip layouts:
     :func:`repro._envflags.env_choice` warns and falls back to the
-    ``file`` oracle layout, matching the ``REPRO_ENGINE`` contract.
+    ``file`` oracle layout, matching the ``REPRO_WORKERS`` contract.
     """
     return _env_choice(name, CACHE_BACKENDS, "file")
 
@@ -84,7 +116,7 @@ def get_cache_backend() -> str:
 def set_cache_backend(name: str) -> str:
     """Set the process-wide default cache backend; returns the previous
     default (so callers can restore it), mirroring
-    :func:`repro.simulate.set_engine_backend`.
+    :func:`repro.intra.set_section_batching`.
 
     The ``file`` backend remains the compatibility oracle — switching
     to ``sqlite`` changes where bytes live, never what they are, and
@@ -382,9 +414,7 @@ class SqliteStore(ResultStore):
         if not create and not self.db_path.is_file():
             return None
         self.db_path.parent.mkdir(parents=True, exist_ok=True)
-        conn = sqlite3.connect(self.db_path, timeout=30.0)
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
+        conn = connect_wal(self.db_path)
         conn.executescript(_SCHEMA)
         conn.commit()
         self._local.conn = conn

@@ -361,19 +361,8 @@ class MpiWorld:
     # ------------------------------------------------------------ running
     def run(self, until: _t.Optional[float] = None,
             detect_deadlock: bool = True) -> None:
-        """Run the simulation to completion (or ``until``).
-
-        Dispatches to the batched event loop
-        (:meth:`~repro.simulate.Simulator.run_batched`) unless the
-        simulator was built with ``batched=False`` — the two are
-        order-exact equivalents, so this is purely a dispatch-speed
-        choice (see ``benchmarks/test_perf_batch.py``).
-        """
-        if self.sim.batched:
-            self.sim.run_batched(until=until,
-                                 detect_deadlock=detect_deadlock)
-        else:
-            self.sim.run(until=until, detect_deadlock=detect_deadlock)
+        """Run the simulation to completion (or ``until``)."""
+        self.sim.run(until=until, detect_deadlock=detect_deadlock)
 
 
 class MpiJob:

@@ -39,7 +39,7 @@ from .registry import (RegisteredScenario, UnknownScenarioError,
                        register_scenario, scenario_entries,
                        scenario_names, suggest_names)
 from .run import (ModeRun, SCENARIO_SWEEP_TAG, make_world, nodes_for,
-                  run_scenario, scenario_cache_key, sweep_scenarios)
+                  scenario_cache_key, sweep_scenarios)
 from .spec import (MACHINES, NETWORKS, Scenario, baseline_overrides,
                    decode_value, encode_value, machine_name_for,
                    network_name_for, parse_override, register_codec_type)
@@ -61,7 +61,6 @@ __all__ = [
     "grid_names", "is_grid_name", "machine_name_for", "make_world",
     "network_name_for", "nodes_for", "parse_override",
     "register_app", "register_codec_type", "register_grid",
-    "register_scenario", "resolve_program", "run_scenario",
-    "scenario_cache_key", "scenario_entries", "scenario_names",
+    "register_scenario", "resolve_program", "scenario_cache_key", "scenario_entries", "scenario_names",
     "suggest_names", "sweep_scenarios", "total_grid_points",
 ]

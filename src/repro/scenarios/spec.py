@@ -14,7 +14,7 @@ share one simulation (see :func:`repro.scenarios.run.sweep_scenarios`).
 
 Construct them directly, derive variants with :meth:`Scenario.replace`
 or :meth:`Scenario.with_overrides` (the CLI's ``--set key=value``
-path), and run them with :func:`repro.scenarios.run.run_scenario`.
+path), and run them with :func:`repro.run`.
 """
 
 from __future__ import annotations

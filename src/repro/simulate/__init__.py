@@ -5,28 +5,28 @@ replicas and the intra-parallelization runtime are all generator-based
 :class:`~repro.simulate.engine.Process` coroutines advancing a shared
 virtual clock.
 
-The event queue executes on a pluggable *backend* — the heap-based
-``python`` oracle or the vectorized ``array`` core — selected per
-simulator (``Simulator(backend=...)``), process-wide
-(:func:`set_engine_backend`) or from the environment (``REPRO_ENGINE``).
-Backends are bit-identical by construction and differential tests; see
-:mod:`repro.simulate.backends`.
+The event queue is a single heap-based loop, :meth:`Simulator.run`;
+``Simulator(fast=False)`` keeps the un-inlined seed-equivalent loop as
+the reference the tests compare it against.
 """
 
-from .backends import (ENGINE_BACKENDS, get_engine_backend,
-                       set_engine_backend)
-from .engine import (Process, Simulator, batched_default,
-                     set_batched_default)
+from .engine import Process, Simulator
 from .errors import (DeadlockError, NotProcessError, ProcessKilled,
                      SimulationError, StaleEventError, UnhandledFailure)
 from .events import AllOf, AnyOf, ConditionError, Event, Timeout
 from .resources import Resource, Store
 
+
+def get_engine_backend() -> str:
+    """The name of the engine executing the event queue: always
+    ``"python"`` (recorded as run provenance by callers that predate
+    the single engine loop)."""
+    return "python"
+
+
 __all__ = [
-    "AllOf", "AnyOf", "ConditionError", "DeadlockError",
-    "ENGINE_BACKENDS", "Event", "NotProcessError", "Process",
-    "ProcessKilled", "Resource", "SimulationError", "Simulator",
-    "StaleEventError", "Store", "Timeout", "UnhandledFailure",
-    "batched_default", "get_engine_backend", "set_batched_default",
-    "set_engine_backend",
+    "AllOf", "AnyOf", "ConditionError", "DeadlockError", "Event",
+    "NotProcessError", "Process", "ProcessKilled", "Resource",
+    "SimulationError", "Simulator", "StaleEventError", "Store",
+    "Timeout", "UnhandledFailure", "get_engine_backend",
 ]

@@ -173,9 +173,8 @@ class Event:
     # -- kernel hooks ------------------------------------------------------
     def _process(self) -> None:
         """Run callbacks.  Called by the simulator when the event's time
-        arrives; user code never calls this.  (Both simulator run loops
-        — ``Simulator.run``'s fast path and ``Simulator.run_batched`` —
-        inline this body; keep all three copies in sync.)"""
+        arrives; user code never calls this.  (``Simulator.run``'s fast
+        loop inlines this body; keep the two copies in sync.)"""
         self._state = _PROCESSED
         waiter = self._waiter
         if waiter is not None:
@@ -225,9 +224,10 @@ class Timeout(Event):
     def _fresh(cls, sim: "Simulator", delay: float) -> "Timeout":
         """A plain triggered timeout that is NOT enqueued.
 
-        Kernel-internal: :meth:`Simulator._sleep_abs` owns the scheduling
-        decision (heap push vs the batched-dispatch defer slot), so it
-        needs a timeout object without the constructor's enqueue.
+        Kernel-internal: :meth:`Simulator._sleep_abs` schedules at an
+        absolute wake time (``sleep_until`` must not round-trip through
+        ``now + delay``), so it needs a timeout object without the
+        constructor's relative enqueue.
         """
         t = cls.__new__(cls)
         t.sim = sim

@@ -1,10 +1,9 @@
-"""Deprecation shims: each legacy entry point warns exactly once per
-process and returns results identical to the facade path.
+"""The facade paths emit no deprecation warnings.
 
 The whole module runs under ``-W error::DeprecationWarning``
-(``filterwarnings`` mark): any deprecation warning outside an explicit
-``pytest.warns`` block — e.g. from an import, or from a shim warning
-*twice* — fails the test.
+(``filterwarnings`` mark): any deprecation warning — e.g. from an
+import, or from a facade call routed through a legacy path — fails the
+test.
 """
 
 import warnings
@@ -12,62 +11,14 @@ import warnings
 import pytest
 
 import repro
-from repro import _deprecation
-from repro.apps.hpccg import KernelBenchConfig, hpccg_kernel_bench
-from repro.experiments import run_mode, scenario_for
-from repro.scenarios import Scenario, run_scenario
+from repro.apps.hpccg import KernelBenchConfig
+from repro.scenarios import Scenario
 
 pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
 
 TINY_KB = KernelBenchConfig(nx=8, ny=8, nz=8, reps=1)
 TINY = Scenario(app="hpccg_kernels", config=TINY_KB, n_logical=2,
                 mode="native")
-
-PAYLOAD_FIELDS = ("mode", "wall_time", "timers", "intra", "value",
-                  "crashes")
-
-
-def _count_deprecations(fn):
-    """Run ``fn`` recording warnings; return (result, #deprecations)."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = fn()
-    return result, sum(1 for w in caught
-                       if issubclass(w.category, DeprecationWarning))
-
-
-def test_run_scenario_shim_warns_exactly_once_and_matches_facade():
-    _deprecation.reset("repro.scenarios.run_scenario")
-    legacy, n_first = _count_deprecations(lambda: run_scenario(TINY))
-    assert n_first == 1
-    again, n_second = _count_deprecations(lambda: run_scenario(TINY))
-    assert n_second == 0                      # once per process, not call
-    facade = repro.run(TINY)
-    for field in PAYLOAD_FIELDS:
-        assert getattr(legacy, field) == getattr(facade, field)
-        assert getattr(again, field) == getattr(facade, field)
-
-
-def test_run_mode_shim_warns_exactly_once_and_matches_facade():
-    _deprecation.reset("repro.experiments.run_mode")
-    call = lambda: run_mode("intra", hpccg_kernel_bench, 2, TINY_KB)
-    legacy, n_first = _count_deprecations(call)
-    assert n_first == 1
-    _again, n_second = _count_deprecations(call)
-    assert n_second == 0
-    facade = repro.run(scenario_for("intra", hpccg_kernel_bench, 2,
-                                    TINY_KB))
-    for field in PAYLOAD_FIELDS:
-        assert getattr(legacy, field) == getattr(facade, field)
-    # the shim returns the facade's structured type outright
-    assert isinstance(legacy, repro.RunResult)
-    assert legacy.scenario == facade.scenario
-
-
-def test_shim_warning_names_the_replacement():
-    _deprecation.reset("repro.scenarios.run_scenario")
-    with pytest.warns(DeprecationWarning, match=r"repro\.run"):
-        run_scenario(TINY)
 
 
 def test_facade_paths_never_warn():
@@ -79,3 +30,4 @@ def test_facade_paths_never_warn():
         repro.experiments.fig5a(n_logical=2, base=TINY_KB)
     assert not [w for w in caught
                 if issubclass(w.category, DeprecationWarning)]
+

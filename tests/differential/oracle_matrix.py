@@ -6,9 +6,9 @@ One hypothesis strategy (:func:`scenarios`) produces random bounded
 (inhomogeneous-Poisson, maintenance windows, cascading) — and, on
 StepSum, :class:`~repro.scenarios.RestartPolicy` variants.  Each one
 runs under every combination of the execution toggles
-(:data:`TOGGLE_LEGS`: engine backend × batched dispatch × section
-batching × task pooling) in both cache states (cold and warm), and the
-tests assert the :class:`~repro.results.RunResult` JSON is
+(:data:`TOGGLE_LEGS`: section batching × task pooling) in both cache
+states (cold and warm), and the tests assert the
+:class:`~repro.results.RunResult` JSON is
 byte-identical across all legs (:func:`canonical` — only the cache
 *hit* flag may differ between cold and warm) and that the cache key is
 toggle-neutral.
@@ -47,8 +47,6 @@ from repro.scenarios import (CascadingFailures, ConstantRate,
                              RateSpec, RestartPolicy, Scenario,
                              SinusoidRate, WeibullFailures)
 from repro.scenarios.run import scenario_cache_key
-from repro.simulate import (batched_default, get_engine_backend,
-                            set_batched_default, set_engine_backend)
 
 # ------------------------------------------------------------- budgets
 #: per-test example budgets by profile.  ``differential`` is the
@@ -83,13 +81,9 @@ def budget(name: str) -> int:
 # --------------------------------------------------------- toggle legs
 #: the oracle axes: (leg key, values, env var, setter, getter).  The
 #: first value of every axis is the reference; the all-reference leg —
-#: python backend, everything enabled — is the oracle every other leg
-#: must match byte for byte.
+#: everything enabled — is the oracle every other leg must match byte
+#: for byte.
 TOGGLE_AXES = (
-    ("backend", ("python", "array"), "REPRO_ENGINE",
-     set_engine_backend, get_engine_backend),
-    ("batched", (True, False), "REPRO_BATCHED",
-     set_batched_default, batched_default),
     ("sections", (True, False), "REPRO_SECTION_BATCHING",
      set_section_batching, section_batching_enabled),
     ("pooling", (True, False), "REPRO_TASK_POOLING",

@@ -3,7 +3,7 @@
 The hypothesis matrix explores synthetic scenarios; this suite walks
 the real ``grid:*`` catalog — a deterministic, evenly-strided sample
 from every family — and runs each point fresh under the oracle leg and
-under the maximally-different leg (array backend, every toggle off),
+under the maximally-different leg (every toggle off),
 asserting byte identity.  It pins that the shipped grid families stay
 inside the differential envelope as they grow.
 """

@@ -1,11 +1,11 @@
 """The oracle matrix: random scenarios × every execution-toggle leg ×
 cold/warm cache, all byte-identical.
 
-The python heap engine with batching, section batching and task
-pooling all at their defaults is the oracle; the other 15 toggle legs
-— and the warm-cache reads, including reads of bytes *written by a
-different leg* — must reproduce its :class:`RunResult` JSON byte for
-byte and agree on the scenario's cache key.  On failure, hypothesis
+Section batching and task pooling both at their defaults is the
+oracle; the other 3 toggle legs — and the warm-cache reads, including
+reads of bytes *written by a different leg* — must reproduce its
+:class:`RunResult` JSON byte for byte and agree on the scenario's
+cache key.  On failure, hypothesis
 shrinks the scenario and the assertion message carries the exact
 ``python -m repro.experiments run --scenario-json`` command replaying
 the diverging leg.
@@ -65,8 +65,8 @@ def test_matrix_covers_all_toggle_combinations():
     assert len(om.TOGGLE_LEGS) == 2 ** len(om.TOGGLE_AXES)
     assert len({tuple(sorted(leg.items())) for leg in om.TOGGLE_LEGS}
                ) == len(om.TOGGLE_LEGS)
-    assert om.ORACLE_LEG == {"backend": "python", "batched": True,
-                             "sections": True, "pooling": True}
+    assert len(om.TOGGLE_LEGS) == 4
+    assert om.ORACLE_LEG == {"sections": True, "pooling": True}
 
 
 def test_differential_profile_meets_the_standing_budget():
@@ -98,8 +98,6 @@ def test_repro_command_replays_a_leg_verbatim():
     leg = om.TOGGLE_LEGS[-1]
     cmd = om.repro_command(scenario, leg)
     assert "--scenario-json" in cmd
-    assert "REPRO_ENGINE=array" in cmd
-    assert "REPRO_BATCHED=0" in cmd
     assert "REPRO_SECTION_BATCHING=0" in cmd
     assert "REPRO_TASK_POOLING=0" in cmd
     # the embedded JSON round-trips to the same scenario

@@ -2,11 +2,10 @@
 leg context manager.
 
 Every matrix axis rides a process-global knob with an env-var default
-(``REPRO_ENGINE``, ``REPRO_BATCHED``, ``REPRO_SECTION_BATCHING``,
-``REPRO_TASK_POOLING``); these tests pin the defensive parsing
-discipline (garbage warns and falls back, never breaks imports) and
-that ``oracle_matrix.applied`` restores every knob even when the body
-raises.
+(``REPRO_SECTION_BATCHING``, ``REPRO_TASK_POOLING``); these tests pin
+the defensive parsing discipline (garbage warns and falls back, never
+breaks imports) and that ``oracle_matrix.applied`` restores every knob
+even when the body raises.
 """
 
 from __future__ import annotations
@@ -73,14 +72,12 @@ def test_env_defaults_reach_the_knobs_in_a_fresh_process():
     code = (
         "import warnings\n"
         "warnings.simplefilter('error')\n"
-        "from repro.simulate.engine import BATCHED_DEFAULT\n"
         "from repro.intra import runtime\n"
-        "print(BATCHED_DEFAULT, runtime.BATCH_SECTIONS,\n"
-        "      runtime.POOL_TASKS)\n")
-    env = {"REPRO_BATCHED": "0", "REPRO_SECTION_BATCHING": "off",
+        "print(runtime.BATCH_SECTIONS, runtime.POOL_TASKS)\n")
+    env = {"REPRO_SECTION_BATCHING": "off",
            "REPRO_TASK_POOLING": "no", "PYTHONPATH": "src",
            "PATH": "/usr/bin:/bin"}
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, cwd=".")
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "False", "False"]
+    assert out.stdout.split() == ["False", "False"]

@@ -3,16 +3,21 @@ benchmarks run the full-size versions)."""
 
 import pytest
 
+import repro
 from repro.apps.hpccg import KernelBenchConfig
 from repro.apps.minighost import MiniGhostConfig
 from repro.experiments import (ccr_vs_replication, crossover_point,
-                               fig5a, fig5b, fig6d, nodes_for, run_mode,
-                               three_mode_rows)
+                               fig5a, fig5b, fig6d, nodes_for,
+                               scenario_for, three_mode_rows)
 from repro.apps.hpccg import hpccg_kernel_bench
 from repro.netmodel import GRID5000_MACHINE
 
 
 SMALL_KB = KernelBenchConfig(nx=8, ny=8, nz=8, reps=1)
+
+
+def _run(mode, program, n_logical, config):
+    return repro.run(scenario_for(mode, program, n_logical, config))
 
 
 def test_nodes_for_each_mode():
@@ -24,7 +29,7 @@ def test_nodes_for_each_mode():
 
 
 def test_run_mode_aggregates():
-    run = run_mode("native", hpccg_kernel_bench, 4, SMALL_KB)
+    run = _run("native", hpccg_kernel_bench, 4, SMALL_KB)
     assert run.mode == "native"
     assert run.wall_time > 0
     assert {"waxpby", "ddot", "spmv"} <= set(run.timers)
@@ -32,17 +37,15 @@ def test_run_mode_aggregates():
 
 
 def test_run_mode_replicated_uses_replica_zero():
-    run = run_mode("intra", hpccg_kernel_bench, 4, SMALL_KB)
+    run = _run("intra", hpccg_kernel_bench, 4, SMALL_KB)
     assert run.intra["update_msgs_sent"] > 0
     assert run.wall_time > 0
 
 
 def test_three_mode_rows_conventions():
-    native = run_mode("native", hpccg_kernel_bench, 4, SMALL_KB)
-    sdr = run_mode("sdr", hpccg_kernel_bench, 4,
-                   SMALL_KB.with_doubled_z())
-    intra = run_mode("intra", hpccg_kernel_bench, 4,
-                     SMALL_KB.with_doubled_z())
+    native = _run("native", hpccg_kernel_bench, 4, SMALL_KB)
+    sdr = _run("sdr", hpccg_kernel_bench, 4, SMALL_KB.with_doubled_z())
+    intra = _run("intra", hpccg_kernel_bench, 4, SMALL_KB.with_doubled_z())
     rows = three_mode_rows(native, sdr, intra, convention="fixed")
     assert [r["mode"] for r in rows] == ["Open MPI", "SDR-MPI", "intra"]
     assert rows[0]["efficiency"] == 1.0

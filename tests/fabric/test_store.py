@@ -211,3 +211,35 @@ def test_open_store_resolves_default(tmp_path):
         assert isinstance(open_store(tmp_path), FileStore)
     finally:
         set_cache_backend(before)
+
+
+# ------------------------------------------------- concurrent opening
+@pytest.mark.parametrize("kind", ["queue", "store"])
+def test_open_waits_out_a_concurrent_writer(tmp_path, kind):
+    """Switching a fresh database to WAL needs the write lock, and
+    SQLite reports a held lock as "database is locked" at once instead
+    of running the busy handler.  Opening must wait for the other
+    connection (here: a write transaction released after ~0.2 s)
+    instead of raising."""
+    import threading
+
+    from repro.fabric.queue import QUEUE_FILENAME, WorkQueue
+
+    name = QUEUE_FILENAME if kind == "queue" else SQLITE_FILENAME
+    holder = sqlite3.connect(tmp_path / name, isolation_level=None,
+                             check_same_thread=False)
+    holder.execute("BEGIN IMMEDIATE")
+    release = threading.Timer(0.2, holder.execute, ("COMMIT",))
+    release.start()
+    try:
+        if kind == "queue":
+            handle = WorkQueue(tmp_path)
+            assert handle.enqueue(KEY_A, "{}") is True
+        else:
+            handle = SqliteStore(tmp_path)
+            handle.put(KEY_A, b"payload")
+            assert handle.get(KEY_A) == b"payload"
+        handle.close()
+    finally:
+        release.join()
+        holder.close()

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import repro.intra.runtime as runtime_mod
-import repro.simulate.engine as engine_mod
 from repro.intra import (CopyStrategy, Tag, launch_intra_job,
                          section_batching_enabled, set_section_batching,
                          set_task_pooling, task_pooling_enabled)
@@ -19,17 +18,10 @@ from tests.intra.conftest import waxpby_cost, waxpby_task
 
 @pytest.fixture
 def toggle_batching():
-    """Restore the process-wide batching switches after the test."""
-    prev_sections = section_batching_enabled()
-    prev_engine = engine_mod.BATCHED_DEFAULT
-
-    def _set(enabled):
-        set_section_batching(enabled)
-        engine_mod.BATCHED_DEFAULT = enabled
-
-    yield _set
-    set_section_batching(prev_sections)
-    engine_mod.BATCHED_DEFAULT = prev_engine
+    """Restore the process-wide section-batching switch after the test."""
+    prev = section_batching_enabled()
+    yield set_section_batching
+    set_section_batching(prev)
 
 
 @pytest.fixture

@@ -44,20 +44,21 @@ def test_process_pool_matches_serial():
 
 
 def _worker_backend(_x):
-    from repro.simulate import get_engine_backend
-    return get_engine_backend()
+    from repro.fabric.store import get_cache_backend
+    return get_cache_backend()
 
 
-def test_pool_workers_inherit_engine_backend():
-    """A backend selected programmatically in the parent (not via the
-    REPRO_ENGINE env var) must reach pool workers too."""
-    from repro.simulate import set_engine_backend
-    prev = set_engine_backend("array")
+def test_pool_workers_inherit_cache_backend():
+    """A cache backend selected programmatically in the parent (not
+    via the REPRO_CACHE_BACKEND env var) must reach pool workers too."""
+    from repro.fabric.store import get_cache_backend, set_cache_backend
+    other = "sqlite" if get_cache_backend() == "file" else "file"
+    prev = set_cache_backend(other)
     try:
         assert (run_sweep([1, 2], _worker_backend, workers=2)
-                == ["array", "array"])
+                == [other, other])
     finally:
-        set_engine_backend(prev)
+        set_cache_backend(prev)
     assert run_sweep([1, 2], _worker_backend, workers=2) == [prev, prev]
 
 

@@ -3,10 +3,10 @@ sweep dedupe on scenario hashes."""
 
 import pytest
 
+import repro
 from repro.apps.hpccg import HpccgConfig, KernelBenchConfig
 from repro.scenarios import (FixedFailures, PoissonFailures, Scenario,
-                             run_scenario, scenario_cache_key,
-                             sweep_scenarios)
+                             scenario_cache_key, sweep_scenarios)
 
 TINY_KB = KernelBenchConfig(nx=8, ny=8, nz=8, reps=1)
 TINY_HPCCG = HpccgConfig(nx=8, ny=8, nz=8, max_iter=2,
@@ -22,7 +22,8 @@ def test_json_twin_reproduces_identical_result():
     twin = Scenario.from_json(s.to_json())
     assert twin == s
     assert scenario_cache_key(twin) == scenario_cache_key(s)
-    assert run_scenario(twin) == run_scenario(s)
+    assert (repro.run(twin, cache=False).to_json()
+            == repro.run(s, cache=False).to_json())
 
 
 @pytest.mark.parametrize("mode", ["native", "sdr", "intra"])
@@ -32,9 +33,9 @@ def test_seeded_poisson_deterministic_in_every_mode(mode):
     s = Scenario(app="hpccg", config=TINY_HPCCG, n_logical=2, mode=mode,
                  failures=PoissonFailures(rate=3e4, seed=13,
                                           horizon=2e-3))
-    first = run_scenario(s)
-    second = run_scenario(s)
-    assert first == second
+    first = repro.run(s, cache=False)
+    second = repro.run(s, cache=False)
+    assert first.to_json() == second.to_json()
     assert first.wall_time > 0
     if mode == "native":
         # no replicas to kill: the schedule is vacuous natively
@@ -49,7 +50,8 @@ def test_poisson_scenario_survives_and_differs_from_clean():
                      mode="intra")
     crashy = clean.with_failures(PoissonFailures(rate=3e4, seed=13,
                                                  horizon=2e-3))
-    r_clean, r_crashy = run_scenario(clean), run_scenario(crashy)
+    r_clean = repro.run(clean, cache=False)
+    r_crashy = repro.run(crashy, cache=False)
     # the survivor computed the same answer, more slowly
     assert r_crashy.value == r_clean.value
     assert r_crashy.wall_time > r_clean.wall_time
@@ -59,7 +61,7 @@ def test_fixed_failure_triggers_reexecution():
     s = Scenario(app="hpccg", config=TINY_HPCCG, n_logical=2,
                  mode="intra",
                  failures=FixedFailures(((0, 1, 1e-5),)))
-    run = run_scenario(s)
+    run = repro.run(s, cache=False)
     assert len(run.crashes) == 1
     assert run.intra.get("tasks_reexecuted", 0) > 0
 
@@ -82,19 +84,3 @@ def test_sweep_scenarios_rejects_non_scenarios():
     with pytest.raises(TypeError):
         sweep_scenarios([("native", None, 4)])
 
-
-def test_run_mode_wrapper_matches_scenario_path():
-    """The deprecated wrapper and the spec path are the same
-    computation (the wrapper returns a RunResult carrying the identical
-    ModeRun payload)."""
-    from repro.apps.hpccg import hpccg_kernel_bench
-    from repro.experiments import run_mode, scenario_for
-    via_wrapper = run_mode("intra", hpccg_kernel_bench, 4, TINY_KB)
-    via_scenario = run_scenario(
-        scenario_for("intra", hpccg_kernel_bench, 4, TINY_KB))
-    for field in ("mode", "wall_time", "timers", "intra", "value",
-                  "crashes"):
-        assert getattr(via_wrapper, field) == getattr(via_scenario,
-                                                      field)
-    assert via_wrapper.scenario == scenario_for(
-        "intra", hpccg_kernel_bench, 4, TINY_KB)

@@ -1,13 +1,19 @@
-"""Differential proof: the array engine backend is bit-identical to the
-python oracle across the registered scenario families.
+"""Differential proof: the engine's inlined ``run()`` loop is
+bit-identical to the ``Simulator(fast=False)`` seed reference loop
+across the registered scenario families.
 
-Each scenario runs twice — once per backend, fresh (no sweep cache) —
-and the full :class:`~repro.scenarios.run.ModeRun` payload must match
+Each scenario runs twice — once per loop, fresh (no sweep cache) — and
+the full :class:`~repro.scenarios.run.ModeRun` payload must match
 exactly: wall-clock virtual times, per-region timers, intra-runtime
 statistics, application values and materialized crash tuples.  On top
 of that, the :class:`repro.results.RunResult` JSON serialization must
-be byte-identical, and the sweep cache must treat the backend as a
-pure execution detail (same keys, reusable bytes in both directions).
+be byte-identical, and the sweep cache must treat the loop as a pure
+execution detail (same keys, reusable bytes in both directions).
+
+No trace hook is installed, so the default loop recycles plain
+timeouts through its free list here — the golden-trace test in
+``test_determinism.py`` traces every event, which turns the free list
+off.
 
 The families cover the repo's experiment surface: fig5 (HPCCG kernels
 + solver, native/sdr/intra), fig6 (AMG, GTC, MiniGhost), the PR 6
@@ -16,6 +22,8 @@ cascading storms) and scenario-expressible restart.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import pytest
 
@@ -30,7 +38,7 @@ from repro.scenarios import (CascadingFailures, ConstantRate,
                              RateSpec, RestartPolicy, Scenario,
                              SinusoidRate, scenario_cache_key)
 from repro.scenarios.run import _run_scenario
-from repro.simulate import set_engine_backend
+from repro.simulate import engine
 
 TINY_KB = KernelBenchConfig(nx=8, ny=8, nz=8, reps=1)
 TINY_HPCCG = HpccgConfig(nx=8, ny=8, nz=8, max_iter=2,
@@ -90,57 +98,57 @@ FAMILIES = {
 }
 
 
-def _run_on(backend: str, scenario: Scenario):
-    prev = set_engine_backend(backend)
+@contextlib.contextmanager
+def _loop(fast: bool):
+    """Build every simulator in the block with ``fast=fast``."""
+    prev = engine.FAST_DEFAULT
+    engine.FAST_DEFAULT = fast
     try:
-        return _run_scenario(scenario)
+        yield
     finally:
-        set_engine_backend(prev)
+        engine.FAST_DEFAULT = prev
+
+
+def _run_on(fast: bool, scenario: Scenario):
+    with _loop(fast):
+        return _run_scenario(scenario)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES),
                          ids=sorted(FAMILIES))
 def test_mode_run_payload_bit_identical(family):
     scenario = FAMILIES[family]
-    oracle = _run_on("python", scenario)
-    array = _run_on("array", scenario)
+    oracle = _run_on(False, scenario)
+    fast = _run_on(True, scenario)
     # dataclass equality first (gives a readable diff on failure) ...
-    assert array == oracle
+    assert fast == oracle
     # ... then repr equality, which also pins float formatting and
     # container types bit-for-bit
-    assert repr(array) == repr(oracle)
+    assert repr(fast) == repr(oracle)
 
 
 def test_run_result_json_bytes_identical(tmp_path):
     scenario = FAMILIES["fig5b-crash"]
-    prev = set_engine_backend("python")
-    try:
+    with _loop(False):
         oracle = api_run(scenario, cache=False)
-        set_engine_backend("array")
-        array = api_run(scenario, cache=False)
-    finally:
-        set_engine_backend(prev)
-    assert array.to_json() == oracle.to_json()
+    fast = api_run(scenario, cache=False)
+    assert fast.to_json() == oracle.to_json()
 
 
 def test_backend_is_cache_neutral(tmp_path):
-    """The backend must not leak into cache keys, and cached bytes
-    must be interchangeable: a sweep can mix cached python-backend
-    results with fresh array-backend runs (and vice versa)."""
+    """The engine loop must not leak into cache keys, and cached bytes
+    must be interchangeable: a sweep can mix cached seed-loop results
+    with fresh default-loop runs (and vice versa)."""
     scenario = FAMILIES["fig5a-intra"]
     assert scenario_cache_key(scenario) == scenario_cache_key(scenario)
 
-    prev = set_engine_backend("python")
-    try:
+    with _loop(False):
         first = api_run(scenario, cache=True, cache_dir=tmp_path)
-        set_engine_backend("array")
-        second = api_run(scenario, cache=True, cache_dir=tmp_path)
-    finally:
-        set_engine_backend(prev)
+    second = api_run(scenario, cache=True, cache_dir=tmp_path)
     assert first.cache_key == second.cache_key
     assert first.cache_hit is False
-    assert second.cache_hit is True          # python-written, array-read
-    # payloads equal regardless of which backend wrote the cache entry
+    assert second.cache_hit is True          # seed-written, fast-read
+    # payloads equal regardless of which loop wrote the cache entry
     assert (second.wall_time, second.timers, second.intra,
             second.value) == (first.wall_time, first.timers,
                               first.intra, first.value)

@@ -1,26 +1,14 @@
-"""Batched event dispatch: ``step()`` same-timestamp batches,
-``run_batched()`` wake coalescing, ``sleep_until()`` exact scheduling.
+"""Same-timestamp batches: ``step()`` drains every event of the head
+timestamp, ``sleep_until()`` schedules at an exact wake time, and
+the ``run()`` loop recycles plain timeouts without losing any.
 
-The batched paths are order-exact optimizations — every test here pins
-equivalence with the unbatched engine (``tests/simulate/
-test_determinism.py`` does the same on a full failure-injection
-scenario)."""
+Every test here pins behaviour the unbatched one-event-at-a-time engine
+would show (``tests/simulate/test_determinism.py`` does the same on a
+full failure-injection scenario)."""
 
 import pytest
 
-from repro.simulate import (DeadlockError, Simulator, SimulationError,
-                            UnhandledFailure)
-
-
-def _trace_run(run_name, bodies, **run_kw):
-    """Run ``bodies(sim)`` under the given run method; return the
-    processed-event trace and the final clock."""
-    trace = []
-    sim = Simulator(trace=lambda t, ev: trace.append(
-        (t, type(ev).__name__, ev.label)))
-    procs = bodies(sim)
-    getattr(sim, run_name)(**run_kw)
-    return trace, sim.now, procs
+from repro.simulate import Simulator, SimulationError
 
 
 def _sleep_chain(sim, n, dt):
@@ -61,108 +49,9 @@ def test_step_includes_zero_delay_followups():
     assert order == ["first", "follow"]
 
 
-def test_run_batched_matches_run_trace():
-    def bodies(sim):
-        return [sim.process(_sleep_chain(sim, 50, 0.1), name="fast"),
-                sim.process(_sleep_chain(sim, 5, 1.0), name="slow")]
-
-    trace_a, now_a, _ = _trace_run("run", bodies)
-    trace_b, now_b, _ = _trace_run("run_batched", bodies)
-    assert trace_a == trace_b
-    assert now_a == now_b
-
-
-def test_run_batched_coalesces_sole_earliest_wakes():
-    """The defer slot engages (no heap growth) yet results are exact."""
-    sim = Simulator()
-    p = sim.process(_sleep_chain(sim, 1000, 0.25))
-    sim.run_batched()
-    assert p.value == 250.0
-    assert sim.now == 250.0
-    assert sim._defer is None and not sim._defer_armed
-
-
-def test_run_batched_until_preserves_pending_wake():
-    sim = Simulator()
-    p = sim.process(_sleep_chain(sim, 10, 1.0))
-    sim.run_batched(until=4.5)
-    assert sim.now == 4.5
-    assert p.is_alive
-    sim.run_batched()          # resume to completion
-    assert p.value == 10.0
-
-
-def test_run_batched_until_in_past_rejected():
-    sim = Simulator()
-    sim.process(_sleep_chain(sim, 3, 1.0))
-    sim.run_batched()
-    with pytest.raises(SimulationError):
-        sim.run_batched(until=1.0)
-
-
-def test_run_batched_interleaves_multiple_processes_exactly():
-    def bodies(sim):
-        # incommensurate periods => wakes alternate between processes,
-        # exercising defer-requeue on every schedule
-        return [sim.process(_sleep_chain(sim, 30, 0.7), name="a"),
-                sim.process(_sleep_chain(sim, 30, 1.1), name="b"),
-                sim.process(_sleep_chain(sim, 30, 1.3), name="c")]
-
-    trace_a, now_a, _ = _trace_run("run", bodies)
-    trace_b, now_b, _ = _trace_run("run_batched", bodies)
-    assert trace_a == trace_b
-    assert now_a == now_b
-
-
-def test_run_batched_same_time_ordering_with_ties():
-    """Equal wake times process in scheduling order, batched or not."""
-    def bodies(sim):
-        return [sim.process(_sleep_chain(sim, 20, 0.5), name=f"p{i}")
-                for i in range(4)]
-
-    trace_a, now_a, _ = _trace_run("run", bodies)
-    trace_b, now_b, _ = _trace_run("run_batched", bodies)
-    assert trace_a == trace_b
-    assert now_a == now_b
-
-
-def test_run_batched_deadlock_detection():
-    sim = Simulator()
-
-    def stuck(sim):
-        yield sim.event("never")
-
-    sim.process(stuck(sim), name="stuck")
-    with pytest.raises(DeadlockError):
-        sim.run_batched(detect_deadlock=True)
-
-
-def test_run_batched_unhandled_failure_propagates():
-    sim = Simulator()
-
-    def boom(sim):
-        yield sim.sleep(1.0)
-        ev = sim.event("bad")
-        ev.fail(RuntimeError("boom"))
-        yield sim.sleep(5.0)   # the failed event fires first
-
-    sim.process(boom(sim))
-    with pytest.raises(UnhandledFailure):
-        sim.run_batched()
-    # the parked wake was flushed back; the engine is still consistent
-    assert sim._defer is None and not sim._defer_armed
-
-
-def test_run_batched_falls_back_when_not_fast():
-    sim = Simulator(fast=False)
-    p = sim.process(_sleep_chain(sim, 10, 1.0))
-    sim.run_batched()
-    assert p.value == 10.0
-
-
 def test_abandoned_sleep_still_fires_on_time():
     """A sleep taken but never yielded must keep its place in virtual
-    time (it is pushed back to the heap, not lost in the defer slot)."""
+    time (it stays queued; the free list must not recycle it early)."""
     sim = Simulator()
     seen = []
 
@@ -173,7 +62,7 @@ def test_abandoned_sleep_still_fires_on_time():
         return sim.now
 
     p = sim.process(body(sim))
-    sim.run_batched()
+    sim.run()
     assert p.value == 3.0
     assert seen == [3.0]
 
@@ -187,7 +76,7 @@ def test_sleep_until_exact_time():
         return sim.now
 
     p = sim.process(body(sim))
-    sim.run_batched()
+    sim.run()
     assert p.value == 4.0
 
 
@@ -205,29 +94,9 @@ def test_sleep_until_past_rejected():
     assert p.value == "ok"
 
 
-def test_peek_sees_parked_wake():
-    """peek() must report the deferred wake, not just the heap top."""
+def test_timeout_pool_recycles_through_run_loop():
     sim = Simulator()
-    peeks = []
-
-    def body(sim):
-        t = sim.sleep(1.0)
-        peeks.append(sim.peek())
-        yield t
-        return sim.now
-
-    p = sim.process(body(sim))
-    sim.run_batched()
-    assert peeks == [1.0]
-    assert p.value == 1.0
-
-
-def test_timeout_pool_recycles_through_batched_loop():
-    # white-box check of the python engine's defer-cell recycling; the
-    # array backend pools wake rows in its own free list, so pin the
-    # backend rather than inherit REPRO_ENGINE
-    sim = Simulator(backend="python")
     sim.process(_sleep_chain(sim, 500, 1.0))
-    sim.run_batched()
-    # deferred wakes must feed the free list like heap-popped ones
+    sim.run()
+    # fired, unreferenced sleeps must feed the free list
     assert len(sim._timeout_pool) >= 1
