@@ -1,8 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint detcheck fuzz bench bench-all docs-check api-check \
-	profile figures clean
+.PHONY: test lint detcheck fuzz bench bench-e2e bench-all docs-check \
+	api-check profile figures clean
 
 ## tier-1 test suite (what CI gates on)
 test:
@@ -38,6 +38,14 @@ bench:
 	$(PYTHON) -m pytest benchmarks/test_perf_engine.py \
 	    benchmarks/test_perf_batch.py benchmarks/test_perf_fabric.py \
 	    -q -s
+
+## the end-to-end benchmark (perfbench/README.md), untraced, on every
+## workload: one JSON result line per workload (a few minutes)
+bench-e2e:
+	for w in paper-figures failure-sweep fabric-serve; do \
+	    python3 perfbench/run.py --workload $$w --seed 1 --trace 0 \
+	        || exit 1; \
+	done
 
 ## docs: executable snippets in docs/*.md + intra-repo markdown links
 docs-check:

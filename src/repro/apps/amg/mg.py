@@ -46,14 +46,18 @@ class MgHierarchy:
 
 
 def extract_diagonal(m: CsrMatrix) -> np.ndarray:
-    """Diagonal of a halo-padded CSR matrix (diag column = halo_lo+row)."""
-    diag = np.zeros(m.n_rows)
-    for r in range(m.n_rows):
-        lo, hi = int(m.row_ptr[r]), int(m.row_ptr[r + 1])
-        cols = m.col[lo:hi]
-        hit = np.nonzero(cols == m.halo_lo + r)[0]
-        if hit.size:
-            diag[r] = m.val[lo + int(hit[0])]
+    """Diagonal of a halo-padded CSR matrix (diag column = halo_lo+row).
+
+    A row without a diagonal entry reads 0; if a row stores its
+    diagonal column more than once, the first entry wins.
+    """
+    n = m.n_rows
+    rows = np.repeat(np.arange(n), np.diff(m.row_ptr))
+    hits = np.flatnonzero(m.col == m.halo_lo + rows)
+    # hits ascend, so each row's first hit is its first in rows[hits]
+    hit_rows, first = np.unique(rows[hits], return_index=True)
+    diag = np.zeros(n)
+    diag[hit_rows] = m.val[hits[first]]
     return diag
 
 

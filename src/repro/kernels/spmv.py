@@ -79,7 +79,10 @@ class CsrMatrix:
         operators), ``col_block`` / ``val_block`` are the contiguous
         indptr-sliced views of the block's column indices and values,
         and ``scratch`` is a reusable float64 buffer of ``nnz`` entries
-        (the gather/product temporary of :func:`spmv_rows`).
+        (the gather/product temporary of :func:`spmv_rows`).  Caching a
+        block checks once that its columns lie in ``[0, padded_len)``
+        (raising :class:`ValueError` otherwise), which is what lets
+        :func:`spmv_rows` gather without a per-call bounds check.
 
         The intra runtime evaluates each task's cost several times per
         section (scheduling + roofline charging) and executes the same
@@ -99,9 +102,16 @@ class CsrMatrix:
             np.cumsum(counts[:-1], out=boundaries[1:])
             empties = np.flatnonzero(counts == 0)
             if cachectl.enabled():
+                col_block = self.col[start:stop]
+                if col_block.size and not (
+                        0 <= int(col_block.min())
+                        and int(col_block.max()) < self.padded_len):
+                    raise ValueError(
+                        f"rows [{lo}, {hi}) have column indices outside "
+                        f"the padded vector [0, {self.padded_len})")
                 blk = (start, stop, boundaries,
                        empties if empties.size else None, stop - start,
-                       self.col[start:stop], self.val[start:stop],
+                       col_block, self.val[start:stop],
                        np.empty(stop - start))
                 self._block_cache[key] = blk
             else:
@@ -378,7 +388,7 @@ def spmv_rows(matrix: CsrMatrix, x_padded: np.ndarray, lo: int, hi: int,
 
     Vectorised CSR row-block product over the matrix's precomputed block
     slices (no Python-level row loop, no per-call temporaries): the
-    gather runs through ``np.take`` into the block's reusable scratch
+    gather runs through ``take`` into the block's reusable scratch
     buffer, the product is formed in place, and the segmented sum
     (``np.add.reduceat`` on the cached row boundaries) reduces straight
     into ``y_block``.  The arithmetic — gather, multiply, left-to-right
@@ -388,14 +398,24 @@ def spmv_rows(matrix: CsrMatrix, x_padded: np.ndarray, lo: int, hi: int,
 
     ``x_padded`` and ``y_block`` must be float64 (all kernel call sites
     are); ``y_block`` must be a contiguous view of ``hi - lo`` entries.
+    ``x_padded`` must hold exactly ``matrix.padded_len`` entries
+    (:class:`ValueError` otherwise).  The gather uses ``mode="clip"``,
+    which writes straight into the scratch buffer (the default
+    ``mode="raise"`` buffers its output on every call); no index is
+    ever clipped, because :meth:`CsrMatrix.row_block` verified the
+    block's columns against ``padded_len`` when it cached them.
     """
     if not cachectl.enabled():
         _spmv_rows_reference(matrix, x_padded, lo, hi, y_block)
         return
+    if x_padded.shape[0] != matrix.padded_len:
+        raise ValueError(
+            f"x_padded has {x_padded.shape[0]} entries, the matrix's "
+            f"padded vector {matrix.padded_len}")
     (start, stop, boundaries, empty_rows, _nnz,
      col_block, val_block, scratch) = matrix.row_block(lo, hi)
     if stop > start:
-        np.take(x_padded, col_block, out=scratch)
+        x_padded.take(col_block, out=scratch, mode="clip")
         np.multiply(scratch, val_block, out=scratch)
         np.add.reduceat(scratch, boundaries, out=y_block)
         if empty_rows is not None:

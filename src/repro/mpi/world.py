@@ -9,6 +9,26 @@ communicate (through :class:`~repro.mpi.communicator.BoundComm`).
 The convenience :func:`run_mpi_job` covers the common non-replicated
 case: launch ``n`` ranks of one program over ``MPI_COMM_WORLD``, run to
 completion, return each rank's result.
+
+Message transport
+-----------------
+:meth:`MpiWorld.post_send` moves a message in four steps: a zero-delay
+start, the sender's CPU overhead ``o_send``, one
+:meth:`~repro.netmodel.Network.transfer` through the NICs, then the
+receiver's ``o_recv`` and the delivery into the destination mailbox.
+Normally one ``_Send`` event per message walks these steps as a
+callback state machine.  When the simulator runs its reference loop
+(``Simulator(fast=False)``) or has a trace hook installed, a
+``_transfer`` process runs them instead, over the reference
+:meth:`~repro.netmodel.Network.transfer_steps` sub-routine — the
+seed's transport, kept as the oracle.  Both put entries on the event
+heap at the same points, times and order (the contract is spelled out
+in :mod:`repro.netmodel.network`); the state machine only leaves out
+the entries whose processing does nothing, the transfer process's own
+completion or kill event.  So results are identical on both paths, the
+golden trace stays pinned to the seed's event stream, and
+``tests/simulate/test_backend_differential.py`` compares the two on
+whole scenarios.
 """
 
 from __future__ import annotations
@@ -22,6 +42,9 @@ from .endpoint import Endpoint
 from .errors import MpiError
 from .message import Envelope
 from .request import Request
+
+if _t.TYPE_CHECKING:  # pragma: no cover
+    from ..netmodel.network import _Transfer
 
 #: segment kinds for :meth:`ProcContext.charge_batch` descriptors
 SEG_COMPUTE = 0
@@ -235,6 +258,65 @@ class _Region:
                                       + self.ctx.sim.now - self._t0)
 
 
+class _Send(Event):
+    """One message on the callback transport (see the module docstring).
+
+    The event fires for the start bounce, after ``o_send`` and after
+    ``o_recv`` (each overhead skipped when zero, as the reference skips
+    its timeout); in between, the message is the network's
+    ``_Transfer``.
+    """
+
+    __slots__ = ("world", "src", "dst", "env", "injected", "xfer")
+
+    def __init__(self, world: "MpiWorld", src: Endpoint, dst: Endpoint,
+                 env: Envelope, injected: Event):
+        super().__init__(world.sim)
+        self.world = world
+        self.src = src
+        self.dst = dst
+        self.env = env
+        self.injected = injected
+        self.xfer: _t.Optional["_Transfer"] = None
+        # the start bounce of the reference's transfer process
+        self._rearm(0.0, self._start)
+
+    def _start(self, _ev: Event) -> None:
+        # o_send: CPU-side injection overhead, paid before the DMA queue.
+        o_send = self.world.network.spec.o_send
+        if o_send:
+            self._rearm(o_send, self._transfer)
+        else:
+            self._transfer(self)
+
+    def _transfer(self, _ev: Event) -> None:
+        self.xfer = self.world.network.transfer(
+            self.src.node, self.dst.node, self.env.nbytes,
+            on_injected=self._on_injected, on_arrived=self._on_arrived)
+
+    def _on_injected(self) -> None:
+        self.injected.succeed()
+        self.world._uninjected[self.src.id].pop(self, None)
+
+    def _on_arrived(self) -> None:
+        # o_recv: receiver-side extraction overhead.
+        o_recv = self.world.network.spec.o_recv
+        if o_recv:
+            self._rearm(o_recv, self._deliver)
+        else:
+            self._deliver(self)
+
+    def _deliver(self, _ev: Event) -> None:
+        self.dst.deliver(self.env)
+
+    def retract(self) -> None:
+        """The sender crashed before injection: drop the pending start
+        or ``o_send`` stage, or retract the transfer from the NIC."""
+        self._waiter = None
+        if self.xfer is not None:
+            self.xfer.retract()
+
+
 class MpiWorld:
     """Simulator + cluster + endpoints + transport."""
 
@@ -247,13 +329,15 @@ class MpiWorld:
         self.endpoints: _t.List[Endpoint] = []
         self.contexts: _t.List[ProcContext] = []
         self._next_context_id = 0
-        #: transfer processes that have not yet injected their message,
-        #: keyed by source endpoint id (killed if the sender crashes).
+        #: messages that have not yet been injected — ``_Send`` events,
+        #: or transfer processes on the reference path — keyed by source
+        #: endpoint id (retracted if the sender crashes).
         #: Insertion-ordered on purpose: kill_endpoint iterates these to
-        #: kill them, and a set of Process objects would iterate in
+        #: retract them, and a set of objects would iterate in
         #: id()-derived (allocation-address) order — nondeterministic
         #: run to run, which diverges otherwise identical simulations.
-        self._uninjected: _t.Dict[int, _t.Dict[Process, None]] = {}
+        self._uninjected: _t.Dict[
+            int, _t.Dict[_t.Union[_Send, Process], None]] = {}
 
     # -------------------------------------------------------- membership
     def new_context(self) -> int:
@@ -283,7 +367,11 @@ class MpiWorld:
                   tag: int, context: int, payload: _t.Any,
                   nbytes: int) -> Request:
         """Start a message transfer; returns the send request, which
-        completes at *injection* (sender buffer reusable)."""
+        completes at *injection* (sender buffer reusable).
+
+        The message travels as a ``_Send`` state machine, or as a
+        ``_transfer`` process when the simulator runs its reference
+        loop or traces (module docstring)."""
         if not 0 <= dst_endpoint < len(self.endpoints):
             raise MpiError(f"destination endpoint {dst_endpoint} unknown")
         if not src.alive:
@@ -294,6 +382,12 @@ class MpiWorld:
                        seq=src.next_seq(dst_endpoint, context))
         injected = Event(self.sim, label=f"inject:{src.name}")
         req = Request(injected, kind="send")
+        sim = self.sim
+        if sim._fast and sim._trace is None:
+            msg = _Send(self, src, self.endpoints[dst_endpoint], env,
+                        injected)
+            self._uninjected[src.id][msg] = None
+            return req
         # The transfer generator needs its own Process handle to deregister
         # itself at injection time; the handle only exists after
         # sim.process() returns, so pass it through a one-slot cell (the
@@ -317,8 +411,9 @@ class MpiWorld:
         # o_send: CPU-side injection overhead, paid before the DMA queue.
         if self.network.spec.o_send:
             yield self.sim.timeout(self.network.spec.o_send)
-        yield from self.network.transfer(src.node, dst.node, env.nbytes,
-                                         on_injected=on_injected)
+        yield from self.network.transfer_steps(src.node, dst.node,
+                                               env.nbytes,
+                                               on_injected=on_injected)
         # o_recv: receiver-side extraction overhead.
         if self.network.spec.o_recv:
             yield self.sim.timeout(self.network.spec.o_recv)
@@ -337,8 +432,11 @@ class MpiWorld:
         if not ep.alive:
             return
         ep.kill()
-        for proc in list(self._uninjected[endpoint_id]):
-            proc.kill("sender crashed before injection")
+        for msg in list(self._uninjected[endpoint_id]):
+            if isinstance(msg, Process):
+                msg.kill("sender crashed before injection")
+            else:
+                msg.retract()
         self._uninjected[endpoint_id].clear()
         ctx = self.contexts[endpoint_id]
         if ctx.process is not None:

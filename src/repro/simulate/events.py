@@ -170,6 +170,19 @@ class Event:
         self.sim._enqueue(self, delay)
         return self
 
+    def _rearm(self, delay: float, waiter: Callback) -> None:
+        """Fire this event again ``delay`` from now, with ``waiter`` as
+        its one callback.
+
+        Kernel-internal, for callback state machines that walk several
+        timed stages with one object (the network transport): each
+        stage enqueues one heap entry at the point, time and sequence a
+        process's ``yield sim.timeout(delay)`` would have.
+        """
+        self._state = _TRIGGERED
+        self._waiter = waiter
+        self.sim._enqueue(self, delay)
+
     # -- kernel hooks ------------------------------------------------------
     def _process(self) -> None:
         """Run callbacks.  Called by the simulator when the event's time

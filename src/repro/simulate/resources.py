@@ -54,12 +54,23 @@ class Resource:
     def request(self) -> Event:
         """An event that fires when a slot is granted (FIFO order)."""
         ev = Event(self.sim, label=f"request:{self.name}")
+        self._request(ev)
+        return ev
+
+    def _request(self, ev: Event) -> None:
+        """Queue the pending event ``ev`` as a request: succeed it now if
+        a slot is free, else when :meth:`release` reaches it.
+
+        Kernel-internal seam for callback state machines that wait on a
+        resource with their own event object (the network transport):
+        the grant and the dead-waiter sweep are exactly
+        :meth:`request`'s.
+        """
         if self._in_use < self.capacity and not self._queue:
             self._in_use += 1
             ev.succeed()
         else:
             self._queue.append(ev)
-        return ev
 
     def release(self) -> None:
         """Release one held slot, waking the oldest waiter if any.

@@ -8,7 +8,9 @@ from repro.apps.amg import (AmgConfig, amg_gmres_program, amg_pcg_program,
                             build_hierarchy, extract_diagonal,
                             prolong_injection, restrict_full_weighting)
 from repro.intra import launch_mode
-from repro.kernels import OFFSETS_27, OFFSETS_7, build_27pt
+from repro.kernels import (OFFSETS_27, OFFSETS_7, build_27pt,
+                           build_stencil_csr)
+from repro.kernels.spmv import CsrMatrix
 from repro.mpi import MpiWorld
 from repro.netmodel import Cluster, MachineSpec, NetworkSpec
 
@@ -38,6 +40,53 @@ def test_extract_diagonal():
     m = build_27pt(4, 4, 4, False, False)
     diag = extract_diagonal(m)
     np.testing.assert_allclose(diag, 27.0)
+
+
+def extract_diagonal_loop(m):
+    """The original row-by-row loop: the oracle for the vectorized
+    extract_diagonal."""
+    diag = np.zeros(m.n_rows)
+    for r in range(m.n_rows):
+        lo, hi = int(m.row_ptr[r]), int(m.row_ptr[r + 1])
+        cols = m.col[lo:hi]
+        hit = np.nonzero(cols == m.halo_lo + r)[0]
+        if hit.size:
+            diag[r] = m.val[lo + int(hit[0])]
+    return diag
+
+
+def csr_with_missing_and_repeated_diagonals():
+    """Row 0 lacks its diagonal, row 1 stores it twice, row 2 is empty,
+    and row 3's diagonal comes after an off-diagonal entry; halo_lo=2."""
+    row_ptr = np.array([0, 2, 5, 5, 7], dtype=np.int64)
+    col = np.array([0, 4, 3, 3, 5, 1, 5], dtype=np.int32)
+    val = np.array([9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0])
+    return CsrMatrix(n_rows=4, halo_lo=2, halo_hi=1, row_ptr=row_ptr,
+                     col=col, val=val)
+
+
+def assert_diagonal_matches_loop(m):
+    got = extract_diagonal(m)
+    want = extract_diagonal_loop(m)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    return got
+
+
+@pytest.mark.parametrize("offsets,diag_val", [(OFFSETS_27, 27.0),
+                                              (OFFSETS_7, 6.0)],
+                         ids=["27pt", "7pt"])
+@pytest.mark.parametrize("halos", [(False, False), (True, False),
+                                   (False, True), (True, True)])
+def test_extract_diagonal_matches_loop(offsets, diag_val, halos):
+    m = build_stencil_csr(5, 4, 3, *halos, offsets=offsets,
+                          diag_val=diag_val, off_val=-1.0)
+    assert (assert_diagonal_matches_loop(m) == diag_val).all()
+
+
+def test_extract_diagonal_missing_and_repeated_entries():
+    m = csr_with_missing_and_repeated_diagonals()
+    assert assert_diagonal_matches_loop(m).tolist() == [0.0, 7.0, 0.0, 3.0]
 
 
 def test_hierarchy_depth():

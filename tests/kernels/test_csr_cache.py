@@ -134,3 +134,27 @@ def test_row_block_cache_matches_direct_computation():
             dense[r, m.col[k]] += m.val[k]
     np.testing.assert_allclose(y, dense[lo:hi] @ x)
     assert m.row_nnz(lo, hi) == int(m.row_ptr[hi] - m.row_ptr[lo])
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_spmv_rows_rejects_wrong_length_x(delta):
+    """The gather clips instead of raising, so a vector that is not
+    exactly the padded length must be refused up front."""
+    m = build_27pt(4, 4, 4, has_lower=True, has_upper=True)
+    x = np.ones(m.padded_len + delta)
+    with pytest.raises(ValueError, match="padded"):
+        spmv_rows(m, x, 0, m.n_rows, np.empty(m.n_rows))
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_row_block_rejects_out_of_range_columns(bad):
+    """Columns are bounds-checked once, when a block is cached."""
+    from repro.kernels.spmv import CsrMatrix
+    m = CsrMatrix(n_rows=2, halo_lo=1, halo_hi=1,
+                  row_ptr=np.array([0, 2, 3], dtype=np.int64),
+                  col=np.array([0, 1, bad], dtype=np.int32),
+                  val=np.ones(3))
+    x = np.ones(m.padded_len)
+    spmv_rows(m, x, 0, 1, np.empty(1))           # row 0 is in range
+    with pytest.raises(ValueError, match="column indices"):
+        spmv_rows(m, x, 0, 2, np.empty(2))

@@ -122,3 +122,125 @@ def test_notify_death_scoped_to_observers():
     assert 0 in world.endpoints[1].known_dead
     assert 0 not in world.endpoints[2].known_dead
     world.run(detect_deadlock=False)
+
+
+# ------------------------------------------------- kill at each NIC stage
+# Sender A (endpoint 1) shares node 0 with a bystander B (endpoint 0);
+# both send to R (endpoint 2) on node 1.  At t=0 B posts m1, A posts m2,
+# B posts m3, so m2 waits behind m1 for node 0's tx engine and m3 waits
+# behind m2.  Both transports must agree on everything a kill of A
+# changes, for every stage m2 can be in.
+STAGE_SPEC = NetworkSpec(bandwidth=1e6, latency=1e-3, half_duplex=False)
+STAGE_BYTES = 1000
+SER = STAGE_SPEC.serialization_time(STAGE_BYTES)
+T1 = STAGE_SPEC.o_send + SER   # m1 leaves the tx engine; m2 is granted
+T2 = T1 + SER                  # m2 injected; m3 granted
+STAGES = {
+    "queued": T1 / 2,          # m2 still waits behind m1
+    "grant_enqueued": T1,      # m2's grant is on the heap, not yet run
+    "serializing": T1 + SER / 2,
+    "injected": T2 + SER / 2,  # m2 is on the wire: it still arrives
+}
+
+
+def heap_entry_kind(ev):
+    """What an enqueued event is, in terms both transports share; None
+    for the reference transfer process's own completion or kill event,
+    the only entries the state machine leaves out."""
+    from repro.mpi.world import _Send
+    from repro.netmodel.network import _Transfer
+    from repro.simulate import Process
+    if isinstance(ev, (_Send, _Transfer)):
+        stage = ev._waiter.__name__
+        if stage == "_start":
+            return "start:xfer"
+        return "grant" if stage in ("_tx_granted", "_rx_granted") \
+            else "timer"
+    if isinstance(ev, Process):
+        return None if ev.name.startswith("xfer:") else f"exit:{ev.name}"
+    if ev.label.startswith("start:xfer:"):
+        return "start:xfer"
+    if ev.label.startswith("request:"):
+        return "grant"
+    return ev.label or "timer"
+
+
+def run_stage_kill(fast, kill_time):
+    from repro.simulate import engine
+    prev = engine.FAST_DEFAULT
+    engine.FAST_DEFAULT = fast
+    try:
+        world = MpiWorld(Cluster(2, MACHINE), STAGE_SPEC)
+    finally:
+        engine.FAST_DEFAULT = prev
+    sim = world.sim
+    enqueues = []
+    real_enqueue = sim._enqueue
+
+    def enqueue(ev, delay):
+        kind = heap_entry_kind(ev)
+        if kind is not None:
+            enqueues.append((sim.now, sim.now + delay, kind))
+        real_enqueue(ev, delay)
+
+    sim._enqueue = enqueue
+    b, a, r = (world.spawn(Slot(node, core)).endpoint
+               for node, core in ((0, 0), (0, 1), (1, 0)))
+    delivered = []
+    real_deliver = r.deliver
+
+    def deliver(env):
+        delivered.append((sim.now, env.payload))
+        real_deliver(env)
+
+    r.deliver = deliver
+    injected = {}
+    for name, src in (("m1", b), ("m2", a), ("m3", b)):
+        req = world.post_send(src, r.id, src_rank=0, tag=0, context=1,
+                              payload=name, nbytes=STAGE_BYTES)
+        req.event.add_callback(lambda ev, n=name: injected.setdefault(
+            n, sim.now))
+    tx = world.network.nics[0].tx
+    nic = {}
+
+    def killer():
+        # wake after m1's hold began, so a kill at T1 runs after m1's
+        # tx completion and before the grant it enqueued for m2
+        yield sim.timeout(T1 / 2)
+        yield sim.sleep_until(kill_time)
+        nic["before"] = (tx.in_use, tx.queue_length)
+        world.kill_endpoint(a.id)
+        nic["after"] = (tx.in_use, tx.queue_length)
+
+    sim.process(killer())
+    world.run(detect_deadlock=False)
+    nic["end"] = (tx.in_use, tx.queue_length)
+    return delivered, injected, nic, sim.now, enqueues
+
+
+@pytest.mark.parametrize("stage", sorted(STAGES))
+def test_kill_at_each_nic_stage_matches_reference(stage):
+    kill_time = STAGES[stage]
+    fast = run_stage_kill(True, kill_time)
+    ref = run_stage_kill(False, kill_time)
+    # same deliveries, NIC states and heap entries (points, times, order)
+    assert repr(fast) == repr(ref)
+    delivered, injected, nic, _end, _enqueues = fast
+    arrived = [p for _t, p in delivered]
+    if stage == "injected":
+        assert arrived == ["m1", "m2", "m3"]
+        assert injected["m3"] == T2 + SER
+    else:
+        assert arrived == ["m1", "m3"]
+        assert "m2" not in injected
+        # m3 gets the engine at the moment m2 gives it up: when m1
+        # finishes (m2 was skipped or released at T1), or at the kill
+        start = kill_time if stage == "serializing" else T1
+        assert injected["m3"] == start + SER
+    if stage == "queued":
+        # m2's request stays queued, waiter-less, until the sweep
+        assert nic["before"] == nic["after"] == (1, 2)
+    else:
+        assert nic["before"][0] == nic["after"][0] == 1
+        assert nic["after"] == (1, 0)
+    assert nic["end"] == (0, 0)
