@@ -16,19 +16,23 @@ benchmark measures pure dispatch speed:
 * **work-sharing section microbenchmark** (PR 4) — the same shape
   through the *work-sharing* ``IntraRuntime`` (2 replicas of one
   logical rank splitting each section): split-on-send batching
-  coalesces each replica's run of silent tasks into one wake, and
-  section-shape pooling recycles the ``LaunchedTask``/``TaskDef``
-  bookkeeping.  Gate: ≥ 1.3× vs the PR 3 state (task-by-task
-  work-sharing sections, per-section allocation).
+  coalesces each replica's run of silent tasks into one wake.  Gate:
+  ≥ 1.3× vs task-by-task work-sharing sections.
 * **fig5b warm-serial** — the end-to-end Figure 5b sweep, batched vs
   PR 1 dispatch, including a bit-identity assertion on every result row
   and an improvement gate against the PR 1 recording of
   ``optimized_serial_warm_s`` (pinned below, same container family).
 
+The task-by-task legs monkeypatch the runtimes' one batching predicate
+(``IntraRuntimeBase._batchable``) to refuse, so only section dispatch
+changes: the engine loop and the message transport stay on their fast
+paths.
+
 Run via ``make bench`` (runs after ``test_perf_engine.py``, which
 rewrites the JSON; this file merges its leg into it).
 """
 
+import contextlib
 import gc
 import json
 import pathlib
@@ -38,10 +42,9 @@ import typing as _t
 
 import numpy as np
 
-import repro.intra.runtime as runtime_mod
 from repro.experiments.fig5 import fig5b
-from repro.intra import (Tag, launch_intra_job, launch_native_job,
-                         set_section_batching, set_task_pooling)
+from repro.intra import (IntraRuntimeBase, Tag, launch_intra_job,
+                         launch_native_job)
 from repro.mpi import MpiWorld
 from repro.netmodel import GRID5000_MACHINE, GRID5000_NETWORK, Cluster
 
@@ -54,8 +57,8 @@ TASKS = 16
 
 #: work-sharing microbenchmark shape: one logical rank, two replicas
 #: splitting WS_SECTIONS × WS_TASKS silent tasks (more tasks per
-#: section than the native shape — split-on-send coalescing and task
-#: pooling both scale with the per-section run length)
+#: section than the native shape — split-on-send coalescing scales
+#: with the per-section run length)
 WS_LOGICAL = 2
 WS_SECTIONS = 1000
 WS_TASKS = 32
@@ -99,27 +102,31 @@ def _section_program(ctx, comm, n_sections, n_tasks):
     return None
 
 
-def _time_section_workload(batched: bool) -> float:
-    prev_sections = set_section_batching(batched)
-    try:
+@contextlib.contextmanager
+def _sections(monkeypatch, batched: bool) -> _t.Iterator[None]:
+    """Run the body with batched sections (the default) or, with
+    ``batched=False``, with every section task by task."""
+    with monkeypatch.context() as mp:
+        if not batched:
+            mp.setattr(IntraRuntimeBase, "_batchable",
+                       lambda self, tasks: False)
+        yield
+
+
+def _time_section_workload(monkeypatch, batched: bool) -> float:
+    with _sections(monkeypatch, batched):
         world = MpiWorld(Cluster(1, GRID5000_MACHINE), GRID5000_NETWORK)
         launch_native_job(world, _section_program, PROCS,
                           args=(SECTIONS, TASKS))
         t0 = time.perf_counter()
         world.run()
         return time.perf_counter() - t0
-    finally:
-        set_section_batching(prev_sections)
 
 
-def _time_worksharing_workload(optimized: bool) -> float:
-    """The PR 4 gate workload: work-sharing sections of silent (IN-only)
-    costed tasks.  ``optimized`` enables split-on-send batching *and*
-    section-shape pooling; the baseline is the PR 3 state — task-by-task
-    `IntraRuntime` sections with per-section object allocation."""
-    prev_sections = set_section_batching(optimized)
-    prev_pooling = set_task_pooling(optimized)
-    try:
+def _time_worksharing_workload(monkeypatch, batched: bool) -> float:
+    """The work-sharing gate workload: sections of silent (IN-only)
+    costed tasks, split-on-send batched or task by task."""
+    with _sections(monkeypatch, batched):
         world = MpiWorld(Cluster(WS_LOGICAL * 2, GRID5000_MACHINE),
                          GRID5000_NETWORK)
         launch_intra_job(world, _section_program, WS_LOGICAL,
@@ -127,51 +134,39 @@ def _time_worksharing_workload(optimized: bool) -> float:
         t0 = time.perf_counter()
         world.run()
         return time.perf_counter() - t0
-    finally:
-        set_section_batching(prev_sections)
-        set_task_pooling(prev_pooling)
 
 
-def _time_fig5b_pair(repeats: int = 5) -> _t.Tuple[float, float]:
-    """Median wall time of the warm fig5b sweep under PR 1 dispatch
-    (task-by-task sections) and under section batching.  Samples are interleaved with alternating
-    order (AB/BA/AB/...) so noise and drift on the 1-CPU container hit
-    both configurations equally."""
-    prev_sections = set_section_batching(True)
+def _time_fig5b_pair(monkeypatch,
+                     repeats: int = 5) -> _t.Tuple[float, float]:
+    """Median wall time of the warm fig5b sweep with task-by-task
+    sections and with section batching.  Samples are interleaved with
+    alternating order (AB/BA/AB/...) so noise and drift hit both
+    configurations equally."""
     pr1, batched = [], []
 
     def one(batch: bool, samples: _t.List[float]) -> None:
-        set_section_batching(batch)
-        gc.collect()
-        t0 = time.perf_counter()
-        fig5b(process_counts=FIG5B_POINTS)
-        samples.append(time.perf_counter() - t0)
+        with _sections(monkeypatch, batch):
+            gc.collect()
+            t0 = time.perf_counter()
+            fig5b(process_counts=FIG5B_POINTS)
+            samples.append(time.perf_counter() - t0)
 
-    try:
-        for i in range(repeats):
-            pair = ((False, pr1), (True, batched))
-            for batch, samples in (pair if i % 2 == 0 else pair[::-1]):
-                one(batch, samples)
-        return statistics.median(pr1), statistics.median(batched)
-    finally:
-        set_section_batching(prev_sections)
+    for i in range(repeats):
+        pair = ((False, pr1), (True, batched))
+        for batch, samples in (pair if i % 2 == 0 else pair[::-1]):
+            one(batch, samples)
+    return statistics.median(pr1), statistics.median(batched)
 
 
-def _fig5b_rows(batched: bool):
-    prev_sections = set_section_batching(batched)
-    try:
+def _fig5b_rows(monkeypatch, batched: bool):
+    with _sections(monkeypatch, batched):
         return fig5b(process_counts=FIG5B_POINTS)
-    finally:
-        set_section_batching(prev_sections)
 
 
-def test_bench_batched_dispatch(save_table):
-    assert runtime_mod.BATCH_SECTIONS and runtime_mod.POOL_TASKS, \
-        "section batching + task pooling must be the default configuration"
-
+def test_bench_batched_dispatch(save_table, monkeypatch):
     # ---- bit-identity: batched == PR 1 dispatch, row for row --------
-    rows_batched = _fig5b_rows(batched=True)
-    rows_pr1 = _fig5b_rows(batched=False)
+    rows_batched = _fig5b_rows(monkeypatch, batched=True)
+    rows_pr1 = _fig5b_rows(monkeypatch, batched=False)
     assert len(rows_batched) == len(rows_pr1)
     for rb, ru in zip(rows_batched, rows_pr1):
         assert rb == ru, (
@@ -181,8 +176,10 @@ def test_bench_batched_dispatch(save_table):
     # interleaved sampling: container noise hits both configurations
     sec_pr1_samples, sec_batched_samples = [], []
     for _ in range(3):
-        sec_pr1_samples.append(_time_section_workload(batched=False))
-        sec_batched_samples.append(_time_section_workload(batched=True))
+        sec_pr1_samples.append(
+            _time_section_workload(monkeypatch, batched=False))
+        sec_batched_samples.append(
+            _time_section_workload(monkeypatch, batched=True))
     pr1_section = statistics.median(sec_pr1_samples)
     batched_section = statistics.median(sec_batched_samples)
     section_speedup = pr1_section / batched_section
@@ -190,14 +187,16 @@ def test_bench_batched_dispatch(save_table):
     # ---- work-sharing section microbenchmark (the PR 4 gate) --------
     ws_pr3_samples, ws_opt_samples = [], []
     for _ in range(3):
-        ws_pr3_samples.append(_time_worksharing_workload(optimized=False))
-        ws_opt_samples.append(_time_worksharing_workload(optimized=True))
+        ws_pr3_samples.append(
+            _time_worksharing_workload(monkeypatch, batched=False))
+        ws_opt_samples.append(
+            _time_worksharing_workload(monkeypatch, batched=True))
     pr3_worksharing = statistics.median(ws_pr3_samples)
     opt_worksharing = statistics.median(ws_opt_samples)
     worksharing_speedup = pr3_worksharing / opt_worksharing
 
     # ---- fig5b warm serial ------------------------------------------
-    fig5b_pr1, fig5b_batched = _time_fig5b_pair()
+    fig5b_pr1, fig5b_batched = _time_fig5b_pair(monkeypatch)
     # calibrate the pinned PR 1 recording to this host's current speed
     pr1_recorded_here = PR1_RECORDED_WARM_S * (fig5b_pr1
                                                / PINNED_PR1_DISPATCH_S)
@@ -215,7 +214,7 @@ def test_bench_batched_dispatch(save_table):
                         f"{WS_SECTIONS} work-shared sections x "
                         f"{WS_TASKS} silent costed tasks",
             "pr3_taskbytask_s": round(pr3_worksharing, 4),
-            "split_on_send_pooled_s": round(opt_worksharing, 4),
+            "split_on_send_s": round(opt_worksharing, 4),
             "speedup": round(worksharing_speedup, 3),
         },
         "fig5b_warm_serial": {
@@ -256,10 +255,10 @@ def test_bench_batched_dispatch(save_table):
         f"batched section dispatch is only {section_speedup:.2f}x faster "
         f"than the PR 1 fast path (need >= 1.3x)")
     # acceptance gate: >= 1.3x on the work-sharing section
-    # microbenchmark (split-on-send batching + section-shape pooling
-    # vs the PR 3 task-by-task work-sharing path)
+    # microbenchmark (split-on-send batching vs task-by-task
+    # work-sharing sections)
     assert worksharing_speedup >= 1.3, (
-        f"split-on-send + pooling is only {worksharing_speedup:.2f}x "
+        f"split-on-send batching is only {worksharing_speedup:.2f}x "
         f"faster than the PR 3 task-by-task work-sharing path "
         f"(need >= 1.3x)")
     # batching must not regress the end-to-end sweep (parity within the

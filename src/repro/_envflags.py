@@ -1,9 +1,8 @@
 """Defensive environment-variable parsing — the only module that may
 touch ``os.environ``.
 
-The execution-toggle env vars (``REPRO_SECTION_BATCHING``,
-``REPRO_TASK_POOLING``, ``REPRO_CACHE_BACKEND``, ``REPRO_WORKERS``,
-``REPRO_SWEEP_CACHE``, ``REPRO_CACHE_DIR``) are
+The configuration env vars (``REPRO_CACHE_BACKEND``,
+``REPRO_WORKERS``, ``REPRO_SWEEP_CACHE``, ``REPRO_CACHE_DIR``) are
 parsed at import time by modules that *everything* imports, so a
 garbage value must never break imports or silently flip behaviour:
 unknown values warn (``RuntimeWarning``) and fall back to the default.

@@ -20,11 +20,12 @@ Design invariants:
 * Sweeps stream: :func:`iter_sweep` yields results as the worker pool
   completes them; :func:`sweep` is the ordered batch form with an
   optional ``on_result`` progress callback.
-* The execution toggles (section batching and task pooling, env
-  ``REPRO_SECTION_BATCHING`` / ``REPRO_TASK_POOLING``) are pure
-  execution details: every combination produces bit-identical
-  :class:`RunResult` payloads, so they never enter cache keys — cached
-  bytes written under one setting are read back under another.
+* The execution toggle (``Simulator(fast=...)``, process-wide default
+  ``repro.simulate.engine.FAST_DEFAULT``: fast paths vs the seed
+  reference engine loop, message transport and task-by-task sections)
+  is a pure execution detail: both settings produce bit-identical
+  :class:`RunResult` payloads, so it never enters cache keys — cached
+  bytes written under one setting are read back under the other.
 * Name resolution imports :mod:`repro.experiments` on demand so every
   registered figure/example scenario is addressable without eagerly
   importing the experiment harness at ``import repro`` time.

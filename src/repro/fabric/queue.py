@@ -11,8 +11,9 @@ mode) holds two tables:
     a worker that dies mid-lease simply stops renewing — the next
     lease call expires the stale row, charges the item one
     ``worker-lost`` attempt (the accounting of
-    :class:`repro.perf.PointFailure`) and re-readies it with the sweep
-    driver's exponential backoff (``backoff * 2**k``, capped at 30 s).
+    :class:`repro.perf.PointFailure`) and re-readies it with the local
+    sweep's exponential backoff (:func:`repro.perf.sweep.retry_backoff`:
+    ``backoff * 2**k``, capped at 30 s).
     An item that exhausts ``max_attempts`` parks as ``failed`` with its
     last error; re-enqueueing it starts a fresh attempt budget (the
     sweep-layer contract: failures are never cached, the point
@@ -38,6 +39,7 @@ import threading
 import time
 import typing as _t
 
+from ..perf.sweep import retry_backoff
 from .store import connect_wal
 
 __all__ = ["Lease", "QueueStats", "WorkQueue", "QUEUE_FILENAME",
@@ -48,10 +50,6 @@ QUEUE_FILENAME = "queue.sqlite3"
 
 #: item lifecycle states
 STATES: _t.Tuple[str, ...] = ("ready", "leased", "done", "failed")
-
-#: upper bound on one retry-backoff delay, seconds (mirrors
-#: ``repro.perf.sweep._MAX_BACKOFF``)
-_MAX_BACKOFF = 30.0
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS queue (
@@ -142,9 +140,8 @@ class WorkQueue:
 
     def _backoff_delay(self, attempts: int) -> float:
         # attempt k's retry waits backoff * 2**(k-1), capped — the
-        # sweep driver's exact retry curve
-        return min(self.backoff * (2 ** max(attempts - 1, 0)),
-                   _MAX_BACKOFF)
+        # local sweep's retry curve
+        return retry_backoff(self.backoff, max(attempts - 1, 0))
 
     # ------------------------------------------------------------ write
     def record_scenario(self, key: str, scenario_json: str) -> None:

@@ -115,8 +115,7 @@ def get_cache_backend() -> str:
 
 def set_cache_backend(name: str) -> str:
     """Set the process-wide default cache backend; returns the previous
-    default (so callers can restore it), mirroring
-    :func:`repro.intra.set_section_batching`.
+    default (so callers can restore it).
 
     The ``file`` backend remains the compatibility oracle — switching
     to ``sqlite`` changes where bytes live, never what they are, and

@@ -8,9 +8,7 @@ from .api import (Intra_Section_begin, Intra_Section_end,
                   Intra_Task_launch, Intra_Task_register, launch_intra_job,
                   launch_mode, launch_native_job, launch_sdr_job, MODES)
 from .runtime import (IntraError, IntraRuntime, IntraRuntimeBase,
-                      LocalIntraRuntime, MAX_ARGS,
-                      section_batching_enabled, set_section_batching,
-                      set_task_pooling, task_pooling_enabled)
+                      LocalIntraRuntime, MAX_ARGS)
 from .scheduler import (SCHEDULERS, CostBalancedScheduler,
                         RoundRobinScheduler, Scheduler,
                         StaticBlockScheduler, make_scheduler)
@@ -27,7 +25,6 @@ __all__ = [
     "MAX_ARGS", "MODES", "RoundRobinScheduler", "SCHEDULERS", "Scheduler",
     "StaticBlockScheduler", "Tag", "TaskDef", "launch_intra_job",
     "launch_mode", "launch_native_job", "launch_sdr_job",
-    "make_scheduler", "section_batching_enabled", "set_section_batching",
-    "set_task_pooling", "task_pooling_enabled", "zero_cost",
+    "make_scheduler", "zero_cost",
     "IN", "INOUT", "OUT", "SectionBuilder", "parallel_for", "section",
 ]

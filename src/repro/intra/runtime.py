@@ -37,9 +37,10 @@ The bit-identity guarantee is scoped to state observable from
 context accounting is not replayed segment by segment, and nothing in
 the repo reads it (see ``compute_batch``'s docstring).
 
-The task-by-task path is kept as the oracle: it runs when
-:func:`set_section_batching` disabled batching, when a trace hook is
-installed (trace-based tests pin seed-exact per-event streams), or for
+The task-by-task path is kept as the oracle: it runs whenever the
+simulator takes its reference paths (``Simulator(fast=False)`` or a
+trace hook installed — trace-based tests pin seed-exact per-event
+streams; see :attr:`repro.simulate.Simulator.fast_paths`), and for
 single-task sections (nothing to batch).
 
 Split-on-send batching (work sharing)
@@ -63,18 +64,8 @@ style, crash injection included); the oracle additionally runs whenever
 a ``task_executed`` hook has subscribers or the hook bus is recording,
 because those observe per-task protocol points mid-stretch.
 
-Task/section pooling
---------------------
-Independently of how sections are *charged*, the per-section
-bookkeeping — a fresh :class:`SectionState`, a
-:class:`~repro.intra.task.TaskDef` per register and a
-:class:`~repro.intra.task.LaunchedTask` per launch — costs as much as
-dispatch itself on fine-grained sections (the ROADMAP-flagged follow-up
-to PR 3).  Since applications run the same section shape step after
-step, :class:`IntraRuntimeBase` recycles all three across sections:
-task defs are cached per ``(fn, tags, cost)``, launched tasks and the
-section state are reset in place from per-runtime pools.  The unpooled
-path is kept as the oracle behind :func:`set_task_pooling`.
+Both runtimes ask one predicate, :meth:`IntraRuntimeBase._batchable`,
+whether a section may batch.
 """
 
 from __future__ import annotations
@@ -99,65 +90,6 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 #: update-message tag layout: tag = task_index * MAX_ARGS + arg_index
 MAX_ARGS = 64
 
-from .._envflags import env_flag as _env_flag
-
-#: process-wide switch for batched section execution in
-#: :class:`LocalIntraRuntime` (the perf benchmark flips it to time the
-#: task-by-task oracle path; semantics are bit-identical either way).
-#: Seeded from ``REPRO_SECTION_BATCHING`` (garbage warns, default on).
-BATCH_SECTIONS = _env_flag("REPRO_SECTION_BATCHING", True)
-
-
-def set_section_batching(enabled: bool) -> bool:
-    """Enable/disable batched section execution; returns the previous
-    setting.  Disabling routes :class:`LocalIntraRuntime` sections
-    through the task-by-task oracle path (one engine event per task)."""
-    global BATCH_SECTIONS
-    prev = BATCH_SECTIONS
-    BATCH_SECTIONS = bool(enabled)
-    return prev
-
-
-def section_batching_enabled() -> bool:
-    """Whether :class:`LocalIntraRuntime` sections run batched."""
-    return BATCH_SECTIONS
-
-
-#: process-wide switch for section-shape pooling of TaskDef /
-#: LaunchedTask / SectionState objects (the perf benchmark flips it to
-#: time the allocate-per-section oracle path; semantics are identical).
-#: Seeded from ``REPRO_TASK_POOLING`` (garbage warns, default on).
-POOL_TASKS = _env_flag("REPRO_TASK_POOLING", True)
-
-#: retired LaunchedTask objects kept per runtime — far above any real
-#: section's task count, just a backstop against pathological shapes
-_TASK_POOL_MAX = 4096
-
-#: distinct (fn, tags, cost) signatures cached per runtime before the
-#: cache is flushed wholesale.  Far above any app's stable task-type
-#: count — but apps that register per-call *closures* (e.g.
-#: ``make_spmv_task(matrix)`` builds fresh fn/cost objects each
-#: section) miss the cache every time, and without the flush each miss
-#: would pin a dead TaskDef — and whatever the closure captures — for
-#: the life of the runtime.  Stable signatures re-warm in one section.
-_TDEF_CACHE_MAX = 256
-
-
-def set_task_pooling(enabled: bool) -> bool:
-    """Enable/disable section-shape object pooling; returns the previous
-    setting.  Disabling routes every section through the
-    allocate-fresh-objects oracle path."""
-    global POOL_TASKS
-    prev = POOL_TASKS
-    POOL_TASKS = bool(enabled)
-    return prev
-
-
-def task_pooling_enabled() -> bool:
-    """Whether section bookkeeping objects are pooled across sections."""
-    return POOL_TASKS
-
-
 class IntraError(RuntimeError):
     """Misuse of the intra-parallelization API."""
 
@@ -169,11 +101,6 @@ class SectionState:
         self.task_defs: _t.Dict[int, TaskDef] = {}
         self.tasks: _t.List[LaunchedTask] = []
 
-    def reset(self) -> None:
-        """Clear for reuse by the next section (object pooling)."""
-        self.task_defs.clear()
-        self.tasks.clear()
-
 
 class IntraRuntimeBase:
     """Shared API: section/task bookkeeping (Algorithm 1, lines 9–19)."""
@@ -183,16 +110,8 @@ class IntraRuntimeBase:
         self.stats = IntraStats()
         self._section: _t.Optional[SectionState] = None
         self.section_index = -1
-        #: task-type cache for pooling: (fn, tags, cost) -> TaskDef
-        self._tdef_cache: _t.Dict[_t.Any, TaskDef] = {}
-        #: monotonic task-type ids (unique across the runtime's lifetime,
-        #: so cached and fresh defs can never collide within a section)
+        #: monotonic task-type ids (unique across the runtime's lifetime)
         self._next_tdef_id = 0
-        #: retired LaunchedTask objects awaiting recycling
-        self._task_pool: _t.List[LaunchedTask] = []
-        #: retired SectionState awaiting reuse (sections never nest, so
-        #: one parked state is all a runtime can ever need)
-        self._section_pool: _t.List[SectionState] = []
 
     # ------------------------------------------------------------- API
     def section_begin(self) -> None:
@@ -200,10 +119,7 @@ class IntraRuntimeBase:
         if self._section is not None:
             raise IntraError("nested intra-parallel sections are not "
                              "allowed (Definition 1)")
-        if POOL_TASKS and self._section_pool:
-            self._section = self._section_pool.pop()
-        else:
-            self._section = SectionState()
+        self._section = SectionState()
         self.section_index += 1
         self.stats.sections += 1
 
@@ -229,28 +145,8 @@ class IntraRuntimeBase:
         norm = [t if isinstance(t, Tag) else Tag(t) for t in tags]
         if len(norm) > MAX_ARGS:
             raise IntraError(f"at most {MAX_ARGS} task arguments supported")
-        tdef: _t.Optional[TaskDef] = None
-        key: _t.Optional[_t.Any] = None
-        if POOL_TASKS:
-            # Applications register the same task types section after
-            # section; cache the (immutable) TaskDef per signature so a
-            # re-register is one dict probe instead of a dataclass
-            # construction plus tag-derivation.
-            try:
-                key = (fn, tuple(norm), cost)
-                tdef = self._tdef_cache.get(key)
-            except TypeError:       # unhashable fn/cost: no caching
-                key = None
-        if tdef is None:
-            self._next_tdef_id += 1
-            tdef = TaskDef(self._next_tdef_id, fn, norm, cost)
-            if key is not None:
-                if len(self._tdef_cache) >= _TDEF_CACHE_MAX:
-                    # epoch flush: dead closure signatures dominate once
-                    # we get here; stable signatures re-warm in one
-                    # section each
-                    self._tdef_cache.clear()
-                self._tdef_cache[key] = tdef
+        self._next_tdef_id += 1
+        tdef = TaskDef(self._next_tdef_id, fn, norm, cost)
         sec.task_defs[tdef.id] = tdef
         return tdef.id
 
@@ -262,13 +158,8 @@ class IntraRuntimeBase:
         except KeyError:
             raise IntraError(f"task id {task_id} was not registered in "
                              f"this section") from None
-        pool = self._task_pool
-        if POOL_TASKS and pool:
-            task = pool.pop().recycle(len(sec.tasks), tdef, list(vars))
-        else:
-            task = LaunchedTask(index=len(sec.tasks), tdef=tdef,
-                                vars=list(vars))
-        sec.tasks.append(task)
+        sec.tasks.append(LaunchedTask(index=len(sec.tasks), tdef=tdef,
+                                      vars=list(vars)))
         self.stats.tasks_launched += 1
 
     def section_end(self):
@@ -280,29 +171,6 @@ class IntraRuntimeBase:
         with self.ctx.region("sections"):
             yield from self._run_section(sec)
         self.stats.section_time += self.ctx.now - t0
-        if POOL_TASKS:
-            self._recycle_section(sec)
-
-    def _recycle_section(self, sec: SectionState) -> None:
-        """Park a completed section's objects for the next same-shape
-        section.
-
-        Only reached on clean completion: a crash (``GeneratorExit``) or
-        an unrecovered failure unwinds past this point, so task objects
-        that might still be referenced by in-flight transfer closures
-        are simply dropped instead of recycled.  By section exit every
-        update request has completed (the section protocol ends in a
-        Waitall), so no completion callback can touch a recycled task.
-        """
-        pool = self._task_pool
-        for task in sec.tasks:
-            if len(pool) >= _TASK_POOL_MAX:
-                break
-            task.release()
-            pool.append(task)
-        sec.reset()
-        if not self._section_pool:
-            self._section_pool.append(sec)
 
     def run_local(self, fn: _t.Callable[..., _t.Any],
                   vars: _t.Sequence[_t.Any],
@@ -332,6 +200,16 @@ class IntraRuntimeBase:
     def _run_section(self, sec: SectionState):
         raise NotImplementedError  # pragma: no cover
 
+    def _batchable(self, tasks: _t.Sequence[LaunchedTask]) -> bool:
+        """Whether ``tasks`` may run batched rather than task by task.
+
+        The task-by-task oracle runs when the simulator takes its
+        reference paths (``fast=False`` or a trace hook: see
+        :attr:`~repro.simulate.Simulator.fast_paths`) and when there is
+        nothing to batch (fewer than two tasks).
+        """
+        return len(tasks) >= 2 and self.ctx.sim.fast_paths
+
     def _execute_fn(self, task: LaunchedTask):
         """Charge the roofline cost and run the task function (real
         numpy arithmetic — replica state actually changes)."""
@@ -348,16 +226,15 @@ class LocalIntraRuntime(IntraRuntimeBase):
     """Execute every task locally (native and classic-replication
     modes): sections degenerate to plain sequential computation.
 
-    With :data:`BATCH_SECTIONS` enabled (the default), the whole section
-    is charged as one multi-segment compute descriptor — a single engine
-    wake instead of one event + generator resume per task (see the
-    module docstring for the exact-equivalence argument).
+    When :meth:`_batchable` allows it, the whole section is charged as
+    one multi-segment compute descriptor — a single engine wake instead
+    of one event + generator resume per task (see the module docstring
+    for the exact-equivalence argument).
     """
 
     def _run_section(self, sec: SectionState):
         tasks = sec.tasks
-        if (not BATCH_SECTIONS or len(tasks) < 2
-                or self.ctx.sim._trace is not None):
+        if not self._batchable(tasks):
             # oracle path: one engine event per task (also keeps
             # trace-based tests on the seed-exact per-event stream)
             for task in tasks:
@@ -479,9 +356,8 @@ class IntraRuntime(IntraRuntimeBase):
     def _batchable(self, my_tasks: _t.Sequence[LaunchedTask]) -> bool:
         """Whether this replica's local run may batch (split on send).
 
-        Mirrors :class:`LocalIntraRuntime`'s oracle conditions (toggle,
-        nothing to batch, trace hook installed) plus one of its own: a
-        subscriber to the per-task ``task_executed`` hook — or a
+        The base conditions (reference paths, nothing to batch) plus one
+        of its own: a subscriber to the per-task ``task_executed`` hook — or a
         recording hook bus — observes protocol points *inside* the local
         stretch, whose interleaving only the task-by-task path
         reproduces exactly.  ``update_injected`` subscribers are fine
@@ -489,9 +365,7 @@ class IntraRuntime(IntraRuntimeBase):
         whose time is fixed by the ``isend`` post time, which
         split-on-send keeps exact.
         """
-        if not BATCH_SECTIONS or len(my_tasks) < 2:
-            return False
-        if self.ctx.sim._trace is not None:
+        if not super()._batchable(my_tasks):
             return False
         hooks = self.manager.hooks
         return not (hooks.record or hooks.has_handlers("task_executed"))

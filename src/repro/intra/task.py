@@ -136,38 +136,6 @@ class LaunchedTask:
         memcpy segments before any restore has actually run."""
         return sum(int(s.nbytes) for s in self.copies.values())
 
-    def recycle(self, index: int, tdef: TaskDef,
-                vars: _t.List[_t.Any]) -> "LaunchedTask":
-        """Reinitialize a pooled instance for a new launch.
-
-        Equivalent to constructing a fresh :class:`LaunchedTask` (the
-        same ``__post_init__`` validation runs), but the per-task
-        containers are cleared in place instead of reallocated — the
-        section-shape pooling of
-        :class:`repro.intra.runtime.IntraRuntimeBase` recycles task
-        objects across sections because their construction showed up in
-        the section microbenchmark next to dispatch itself.
-        """
-        self.index = index
-        self.tdef = tdef
-        self.vars = vars
-        self.executor = -1
-        self.copies.clear()
-        self.applied.clear()
-        self.buffered.clear()
-        self.done = False
-        self.executed_locally = False
-        self.__post_init__()
-        return self
-
-    def release(self) -> None:
-        """Drop payload references before parking in a pool (keeping a
-        retired task's arrays and snapshots alive across sections would
-        be a silent memory leak)."""
-        self.vars = []
-        self.copies.clear()
-        self.buffered.clear()
-
     def take_copies(self, arg_indices: _t.Iterable[int]) -> int:
         """Snapshot the given arguments into :attr:`copies` (no-op for
         args already copied).  Returns bytes copied."""

@@ -18,8 +18,9 @@ start, the sender's CPU overhead ``o_send``, one
 receiver's ``o_recv`` and the delivery into the destination mailbox.
 Normally one ``_Send`` event per message walks these steps as a
 callback state machine.  When the simulator runs its reference loop
-(``Simulator(fast=False)``) or has a trace hook installed, a
-``_transfer`` process runs them instead, over the reference
+(``Simulator(fast=False)``) or has a trace hook installed — that is,
+when ``Simulator.fast_paths`` is false — a ``_transfer`` process runs
+them instead, over the reference
 :meth:`~repro.netmodel.Network.transfer_steps` sub-routine — the
 seed's transport, kept as the oracle.  Both put entries on the event
 heap at the same points, times and order (the contract is spelled out
@@ -382,8 +383,7 @@ class MpiWorld:
                        seq=src.next_seq(dst_endpoint, context))
         injected = Event(self.sim, label=f"inject:{src.name}")
         req = Request(injected, kind="send")
-        sim = self.sim
-        if sim._fast and sim._trace is None:
+        if self.sim.fast_paths:
             msg = _Send(self, src, self.endpoints[dst_endpoint], env,
                         injected)
             self._uninjected[src.id][msg] = None

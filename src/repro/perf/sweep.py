@@ -236,6 +236,14 @@ def clear_result_cache(cache_dir: _t.Optional[_t.Union[str, pathlib.Path]]
 _MAX_BACKOFF = 30.0
 
 
+def retry_backoff(backoff: float, k: int) -> float:
+    """The wait before retry ``k`` (0-based): ``backoff * 2**k`` seconds,
+    capped at 30 s.  The one retry curve shared by the local sweep
+    (:func:`run_sweep`) and the fabric work queue
+    (:mod:`repro.fabric.queue`)."""
+    return min(backoff * (2 ** k), _MAX_BACKOFF)
+
+
 def _worker_init(cache_backend: _t.Optional[str] = None) -> None:
     """Pool-worker initializer: mirror the parent's cache backend.
 
@@ -413,8 +421,7 @@ def _serial_rounds(points: _t.List[_t.Any], fn: _t.Callable,
                 value = fn(points[i])
             except Exception as exc:
                 if attempt < retries:
-                    time.sleep(min(backoff * (2 ** attempt),
-                                   _MAX_BACKOFF))
+                    time.sleep(retry_backoff(backoff, attempt))
                     continue
                 if on_error == "raise":
                     raise
@@ -444,8 +451,7 @@ def _pool_rounds(points: _t.List[_t.Any], fn: _t.Callable,
     round_no = 0
     while todo:
         if round_no:
-            time.sleep(min(backoff * (2 ** (round_no - 1)),
-                           _MAX_BACKOFF))
+            time.sleep(retry_backoff(backoff, round_no - 1))
         round_no += 1
         width = min(n_workers, len(todo))
         from repro.fabric.store import get_cache_backend

@@ -7,10 +7,11 @@ simulation is deterministic), which is what makes
 :func:`sweep_scenarios` safe to memoize on scenario hashes: any two
 callers — different figures, an example, a CLI invocation — that
 evaluate an equal scenario share one cached simulation.  The execution
-toggles (``REPRO_SECTION_BATCHING`` / ``REPRO_TASK_POOLING``) are
-deliberately *not* part of the scenario: every setting produces
-bit-identical :class:`ModeRun` payloads, so they stay out of the cache
-key and cached bytes are interchangeable between settings.
+toggle (``Simulator(fast=...)``, default
+``repro.simulate.engine.FAST_DEFAULT``) is deliberately *not* part of
+the scenario: both settings produce bit-identical :class:`ModeRun`
+payloads, so it stays out of the cache key and cached bytes are
+interchangeable between settings.
 
 This module is the *execution* layer; the public entry points live in
 :mod:`repro.api` (``repro.run`` / ``repro.sweep`` / ``repro.compare``),

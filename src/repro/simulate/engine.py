@@ -97,6 +97,16 @@ class Simulator:
         compare the inlined loop against it and the performance
         benchmarks time it as the baseline; semantics are identical
         either way.  ``None`` means "use :data:`FAST_DEFAULT`".
+
+    Attributes
+    ----------
+    fast_paths:
+        ``fast and trace is None``: the one switch the layers above read
+        to choose between their fast paths and the seed reference — the
+        callback message transport (:meth:`repro.mpi.MpiWorld.post_send`)
+        and batched intra-parallel sections (:mod:`repro.intra.runtime`).
+        A trace hook forces the references too, so traces stay pinned to
+        the seed's per-event stream.
     """
 
     def __init__(self, trace: _t.Optional[_t.Callable[[float, Event], None]] = None,
@@ -108,6 +118,7 @@ class Simulator:
         if fast is None:
             fast = FAST_DEFAULT
         self._fast = fast and _getrefcount is not None
+        self.fast_paths = self._fast and trace is None
         #: free list of recycled Timeout objects (see :meth:`sleep`)
         self._timeout_pool: _t.List[Timeout] = []
         #: live (not yet terminated) processes, used for deadlock detection

@@ -29,8 +29,7 @@ def toggle_guard():
     before = oracle_matrix.snapshot_toggles()
     yield
     after = oracle_matrix.snapshot_toggles()
-    for (_key, _values, _env, setter, _getter), value in zip(
-            oracle_matrix.TOGGLE_AXES, before):
-        setter(value)
+    for axis, value in zip(oracle_matrix.TOGGLE_AXES, before):
+        oracle_matrix.set_knob(axis, value)
     assert after == before, (
         f"a test leaked execution toggles: {before} -> {after}")

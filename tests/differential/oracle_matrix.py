@@ -5,8 +5,9 @@ One hypothesis strategy (:func:`scenarios`) produces random bounded
 — none / fixed / Poisson / Weibull plus the PR 6 production universes
 (inhomogeneous-Poisson, maintenance windows, cascading) — and, on
 StepSum, :class:`~repro.scenarios.RestartPolicy` variants.  Each one
-runs under every combination of the execution toggles
-(:data:`TOGGLE_LEGS`: section batching × task pooling) in both cache
+runs under every execution-toggle leg (:data:`TOGGLE_LEGS`: the
+simulator's ``fast`` switch, which picks the engine loop, the message
+transport and batched vs task-by-task sections together) in both cache
 states (cold and warm), and the tests assert the
 :class:`~repro.results.RunResult` JSON is
 byte-identical across all legs (:func:`canonical` — only the cache
@@ -14,9 +15,10 @@ byte-identical across all legs (:func:`canonical` — only the cache
 toggle-neutral.
 
 A surviving counterexample is a real bug in one of the execution paths;
-:func:`repro_command` prints the exact shell command — env toggles plus
-``python -m repro.experiments run --scenario-json '...'`` — that
-replays the shrunken scenario outside the test harness.
+:func:`repro_command` prints the exact shell command — a ``python -c``
+that sets the leg's module defaults, then runs the experiments CLI's
+``run --scenario-json '...'`` — that replays the shrunken scenario
+outside the test harness.
 
 Budgets are profile-switched: the default ``smoke`` profile keeps
 tier-1 fast, ``REPRO_FUZZ_PROFILE=differential`` (the nightly CI job,
@@ -28,6 +30,7 @@ axes slot in by appending to :data:`TOGGLE_AXES` — the leg product,
 from __future__ import annotations
 
 import contextlib
+import importlib
 import itertools
 import json
 import os
@@ -39,8 +42,6 @@ from hypothesis import strategies as st
 from repro.api import run as api_run
 from repro.apps.hpccg import HpccgConfig, KernelBenchConfig
 from repro.apps.steploop import StepSumConfig
-from repro.intra import (section_batching_enabled, set_section_batching,
-                         set_task_pooling, task_pooling_enabled)
 from repro.scenarios import (CascadingFailures, ConstantRate,
                              FixedFailures, InhomogeneousPoissonFailures,
                              MaintenanceWindowFailures, PoissonFailures,
@@ -79,15 +80,12 @@ def budget(name: str) -> int:
 
 
 # --------------------------------------------------------- toggle legs
-#: the oracle axes: (leg key, values, env var, setter, getter).  The
-#: first value of every axis is the reference; the all-reference leg —
-#: everything enabled — is the oracle every other leg must match byte
-#: for byte.
+#: the oracle axes: (leg key, values, module, attribute) — each axis is
+#: a process-wide module default read when a run builds its simulator.
+#: The first value of every axis is its default; the all-default leg
+#: is the oracle every other leg must match byte for byte.
 TOGGLE_AXES = (
-    ("sections", (True, False), "REPRO_SECTION_BATCHING",
-     set_section_batching, section_batching_enabled),
-    ("pooling", (True, False), "REPRO_TASK_POOLING",
-     set_task_pooling, task_pooling_enabled),
+    ("fast", (True, False), "repro.simulate.engine", "FAST_DEFAULT"),
 )
 
 #: all toggle combinations, deterministic order, oracle leg first
@@ -98,22 +96,34 @@ TOGGLE_LEGS = tuple(
 ORACLE_LEG = TOGGLE_LEGS[0]
 
 
+def get_knob(axis):
+    """The current value of ``axis``'s module default."""
+    _key, _values, module, attr = axis
+    return getattr(importlib.import_module(module), attr)
+
+
+def set_knob(axis, value):
+    """Set ``axis``'s module default; return the previous value."""
+    _key, _values, module, attr = axis
+    mod = importlib.import_module(module)
+    prev = getattr(mod, attr)
+    setattr(mod, attr, value)
+    return prev
+
+
 @contextlib.contextmanager
 def applied(leg):
     """Apply a toggle leg process-wide; restore every knob on exit."""
-    prev = [setter(leg[key])
-            for key, _values, _env, setter, _getter in TOGGLE_AXES]
+    prev = [set_knob(axis, leg[axis[0]]) for axis in TOGGLE_AXES]
     try:
         yield
     finally:
-        for (_key, _values, _env, setter, _getter), value in zip(
-                TOGGLE_AXES, prev):
-            setter(value)
+        for axis, value in zip(TOGGLE_AXES, prev):
+            set_knob(axis, value)
 
 
 def snapshot_toggles():
-    return tuple(getter()
-                 for _k, _v, _e, _setter, getter in TOGGLE_AXES)
+    return tuple(get_knob(axis) for axis in TOGGLE_AXES)
 
 
 def run_leg(scenario, leg, cache_dir=None):
@@ -145,22 +155,21 @@ def canonical(result) -> str:
     return json.dumps(data, sort_keys=True)
 
 
-def _env_token(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return str(value)
-
-
-def repro_command(scenario, leg) -> str:
+def repro_command(scenario, leg, python: str = "python") -> str:
     """The exact shell command replaying this (scenario, leg) outside
     the harness — print it on failure so a shrunken counterexample is
-    one paste away from a debugger."""
-    env = " ".join(
-        f"{envvar}={_env_token(leg[key])}"
-        for key, _values, envvar, _setter, _getter in TOGGLE_AXES)
-    return (f"{env} python -m repro.experiments run "
+    one paste away from a debugger.  The leg is applied by setting its
+    module defaults before the CLI runs (no env var or flag selects
+    it), and ``--no-cache`` makes the replay recompute under that leg
+    instead of reading a cached result."""
+    lines = ["import sys"]
+    for key, _values, module, attr in TOGGLE_AXES:
+        lines += [f"import {module}", f"{module}.{attr} = {leg[key]!r}"]
+    lines += ["from repro.experiments.__main__ import main",
+              "sys.exit(main())"]
+    return (f"{python} -c {shlex.quote('; '.join(lines))} run "
             f"--scenario-json {shlex.quote(scenario.to_json())} "
-            f"--format json")
+            f"--format json --no-cache")
 
 
 def describe(scenario, leg, phase: str) -> str:

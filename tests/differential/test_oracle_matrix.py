@@ -1,21 +1,25 @@
 """The oracle matrix: random scenarios × every execution-toggle leg ×
 cold/warm cache, all byte-identical.
 
-Section batching and task pooling both at their defaults is the
-oracle; the other 3 toggle legs — and the warm-cache reads, including
-reads of bytes *written by a different leg* — must reproduce its
-:class:`RunResult` JSON byte for byte and agree on the scenario's
-cache key.  On failure, hypothesis
-shrinks the scenario and the assertion message carries the exact
-``python -m repro.experiments run --scenario-json`` command replaying
-the diverging leg.
+The simulator's fast paths (``fast=True``, the default) are the oracle;
+the ``fast=False`` leg — seed reference engine loop, generator message
+transport and task-by-task sections — and the warm-cache reads,
+including reads of bytes *written by a different leg*, must reproduce
+its :class:`RunResult` JSON byte for byte and agree on the scenario's
+cache key.  On failure, hypothesis shrinks the scenario and the
+assertion message carries the exact command replaying the diverging
+leg through the experiments CLI's ``run --scenario-json``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import pathlib
+import shlex
 import shutil
+import subprocess
+import sys
 import tempfile
 
 from hypothesis import HealthCheck, given, settings
@@ -65,8 +69,8 @@ def test_matrix_covers_all_toggle_combinations():
     assert len(om.TOGGLE_LEGS) == 2 ** len(om.TOGGLE_AXES)
     assert len({tuple(sorted(leg.items())) for leg in om.TOGGLE_LEGS}
                ) == len(om.TOGGLE_LEGS)
-    assert len(om.TOGGLE_LEGS) == 4
-    assert om.ORACLE_LEG == {"sections": True, "pooling": True}
+    assert len(om.TOGGLE_LEGS) == 2
+    assert om.ORACLE_LEG == {"fast": True}
 
 
 def test_differential_profile_meets_the_standing_budget():
@@ -89,8 +93,6 @@ def test_unknown_profile_falls_back_to_smoke(monkeypatch, recwarn):
 
 
 def test_repro_command_replays_a_leg_verbatim():
-    import shlex
-
     from repro.scenarios import Scenario
 
     scenario = Scenario(app="stepsum", config=om.TINY_STEPSUM,
@@ -98,9 +100,34 @@ def test_repro_command_replays_a_leg_verbatim():
     leg = om.TOGGLE_LEGS[-1]
     cmd = om.repro_command(scenario, leg)
     assert "--scenario-json" in cmd
-    assert "REPRO_SECTION_BATCHING=0" in cmd
-    assert "REPRO_TASK_POOLING=0" in cmd
+    assert "repro.simulate.engine.FAST_DEFAULT = False" in cmd
+    assert "REPRO_" not in cmd.split("--scenario-json", 1)[0]
     # the embedded JSON round-trips to the same scenario
     payload = cmd.split("--scenario-json ", 1)[1].rsplit(
         " --format", 1)[0]
     assert Scenario.from_json(shlex.split(payload)[0]) == scenario
+
+
+def test_repro_command_reproduces_the_leg_in_a_subprocess(tmp_path):
+    """Run the printed replay in a fresh interpreter: its RunResult must
+    be the in-process leg's, byte for byte."""
+    from repro.results import ResultSet
+    from repro.scenarios import FixedFailures, Scenario
+
+    scenario = Scenario(app="stepsum", config=om.TINY_STEPSUM,
+                        n_logical=2, mode="intra",
+                        failures=FixedFailures(((0, 1, 5e-4),)))
+    src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    for leg in om.TOGGLE_LEGS:
+        want = om.canonical(om.run_leg(scenario, leg))
+        cmd = om.repro_command(scenario, leg,
+                               python=shlex.quote(sys.executable))
+        out = subprocess.run(cmd, shell=True, cwd=tmp_path, env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        (replayed,) = ResultSet.from_json(out.stdout)
+        assert om.canonical(replayed) == want, om.describe(
+            scenario, leg, "replay")

@@ -1,11 +1,12 @@
-"""The toggle plumbing under the matrix: env parsing, setters, and the
-leg context manager.
+"""The toggle plumbing under the matrix: env parsing, knob setters,
+and the leg context manager.
 
-Every matrix axis rides a process-global knob with an env-var default
-(``REPRO_SECTION_BATCHING``, ``REPRO_TASK_POOLING``); these tests pin
-the defensive parsing discipline (garbage warns and falls back, never
-breaks imports) and that ``oracle_matrix.applied`` restores every knob
-even when the body raises.
+Every matrix axis rides a process-global module default (today one:
+``repro.simulate.engine.FAST_DEFAULT``); these tests pin that
+``oracle_matrix.applied`` restores every knob even when the body
+raises, and the defensive env-flag parsing discipline the remaining
+env-var settings (``REPRO_SWEEP_CACHE``) use: garbage warns and falls
+back, never breaks imports.
 """
 
 from __future__ import annotations
@@ -43,13 +44,13 @@ def test_env_flag_garbage_warns_and_falls_back(monkeypatch):
 
 
 def test_setters_return_the_previous_value():
-    for _key, values, _env, setter, getter in om.TOGGLE_AXES:
-        start = getter()
-        other = next(v for v in values if v != start)
-        assert setter(other) == start
-        assert getter() == other
-        assert setter(start) == other
-        assert getter() == start
+    for axis in om.TOGGLE_AXES:
+        start = om.get_knob(axis)
+        other = next(v for v in axis[1] if v != start)
+        assert om.set_knob(axis, other) == start
+        assert om.get_knob(axis) == other
+        assert om.set_knob(axis, start) == other
+        assert om.get_knob(axis) == start
 
 
 def test_applied_restores_every_knob_on_error():
@@ -57,27 +58,7 @@ def test_applied_restores_every_knob_on_error():
     flipped = om.TOGGLE_LEGS[-1]
     with pytest.raises(RuntimeError, match="boom"):
         with om.applied(flipped):
-            for (key, _v, _e, _setter, getter) in om.TOGGLE_AXES:
-                assert getter() == flipped[key]
+            for axis in om.TOGGLE_AXES:
+                assert om.get_knob(axis) == flipped[axis[0]]
             raise RuntimeError("boom")
     assert om.snapshot_toggles() == before
-
-
-def test_env_defaults_reach_the_knobs_in_a_fresh_process():
-    # the env vars must actually wire into module defaults at import
-    # time — check in a subprocess so this process's state is untouched
-    import subprocess
-    import sys
-
-    code = (
-        "import warnings\n"
-        "warnings.simplefilter('error')\n"
-        "from repro.intra import runtime\n"
-        "print(runtime.BATCH_SECTIONS, runtime.POOL_TASKS)\n")
-    env = {"REPRO_SECTION_BATCHING": "off",
-           "REPRO_TASK_POOLING": "no", "PYTHONPATH": "src",
-           "PATH": "/usr/bin:/bin"}
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, cwd=".")
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "False"]

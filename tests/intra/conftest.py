@@ -5,6 +5,7 @@ import pytest
 
 from repro.mpi import MpiWorld
 from repro.netmodel import Cluster, MachineSpec, NetworkSpec
+from repro.simulate import engine
 
 
 @pytest.fixture
@@ -26,6 +27,18 @@ def make_world(machine, netspec):
         return MpiWorld(Cluster(n_nodes, machine), netspec)
 
     return _make
+
+
+@pytest.fixture
+def toggle_batching(monkeypatch):
+    """``toggle(batched)`` selects batched sections (``fast=True``) or
+    the task-by-task oracle (``fast=False``, the seed reference paths)
+    for every world built afterwards; the default returns after the
+    test."""
+    def toggle(batched):
+        monkeypatch.setattr(engine, "FAST_DEFAULT", batched)
+
+    return toggle
 
 
 def waxpby_task(alpha, x, beta, y, w):

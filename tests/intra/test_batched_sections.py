@@ -5,18 +5,9 @@ modes, including crash injection landing mid-batch."""
 import numpy as np
 import pytest
 
-from repro.intra import (Tag, launch_native_job, launch_sdr_job,
-                         section_batching_enabled, set_section_batching)
+from repro.intra import Tag, launch_native_job, launch_sdr_job
 from repro.replication import FailureInjector
 from tests.intra.conftest import waxpby_cost, waxpby_task
-
-
-@pytest.fixture
-def toggle_batching():
-    """Restore the process-wide section-batching switch after the test."""
-    prev = section_batching_enabled()
-    yield set_section_batching
-    set_section_batching(prev)
 
 
 def sectioned_program(ctx, comm, n=64, n_tasks=8, n_sections=5):

@@ -1,34 +1,14 @@
 """Split-on-send batched execution (work-sharing IntraRuntime):
 bit-identical results, stats, timers and update-send timing vs the
-task-by-task oracle, including crashes landing mid-batch — plus the
-section-shape object pooling that rides on the same toggle discipline.
-"""
+task-by-task oracle, including crashes landing mid-batch."""
 
 import numpy as np
 import pytest
 
-import repro.intra.runtime as runtime_mod
-from repro.intra import (CopyStrategy, Tag, launch_intra_job,
-                         section_batching_enabled, set_section_batching,
-                         set_task_pooling, task_pooling_enabled)
+from repro.intra import CopyStrategy, Tag, launch_intra_job
 from repro.mpi.world import ProcContext
 from repro.replication import FailureInjector
 from tests.intra.conftest import waxpby_cost, waxpby_task
-
-
-@pytest.fixture
-def toggle_batching():
-    """Restore the process-wide section-batching switch after the test."""
-    prev = section_batching_enabled()
-    yield set_section_batching
-    set_section_batching(prev)
-
-
-@pytest.fixture
-def toggle_pooling():
-    prev = task_pooling_enabled()
-    yield set_task_pooling
-    set_task_pooling(prev)
 
 
 @pytest.fixture
@@ -233,107 +213,25 @@ def test_recording_hookbus_forces_oracle(make_world, toggle_batching,
                for name, _ in job.manager.hooks.events_seen)
 
 
-# ------------------------------------------------------- object pooling
-def test_pooling_bit_identical(make_world, toggle_batching, toggle_pooling):
-    toggle_batching(True)
-    runs = {}
-    for pooled in (True, False):
-        toggle_pooling(pooled)
-        world = make_world()
-        job = launch_intra_job(world, sharing_program, 2)
-        world.run()
-        runs[pooled] = (repr(job.results()), world.sim.now,
-                        [[dict(i.ctx.intra.stats.__dict__) for i in row]
-                         for row in job.manager.replicas])
-    assert runs[True] == runs[False]
-
-
-def test_pooling_recycles_task_objects(make_world, toggle_pooling):
-    """Across same-shape sections the runtime reuses LaunchedTask
-    objects and the cached TaskDef instead of reallocating."""
-    toggle_pooling(True)
-    world = make_world()
-    seen_ids = []
-
-    def prog(ctx, comm):
-        x = np.arange(16, dtype=np.float64)
-        rt = ctx.intra
-        for _ in range(3):
-            rt.section_begin()
-            tid = rt.task_register(
-                waxpby_task, [Tag.IN, Tag.IN, Tag.IN, Tag.IN, Tag.OUT],
-                cost=waxpby_cost)
-            seen_ids.append(tid)
-            w = np.zeros(16)
-            rt.task_launch(tid, [2.0, x, 0.0, x, w])
-            rt.task_launch(tid, [3.0, x, 0.0, x, w])
-            seen_ids.append(tuple(id(t) for t in rt._section.tasks))
-            yield from rt.section_end()
-        return True
-
-    # degree=1: a single replica, so seen_ids is one runtime's history
-    job = launch_intra_job(world, prog, 1, degree=1)
-    world.run()
-    tids = seen_ids[::2]
-    objs = seen_ids[1::2]
-    assert tids[0] == tids[1] == tids[2]        # TaskDef cached
-    # the pool is LIFO, so object order may rotate — but the same two
-    # objects must serve every section after the first
-    assert set(objs[0]) == set(objs[1]) == set(objs[2])
-    assert job.results()
-    rt = job.manager.replicas[0][0].ctx.intra
-    for task in rt._task_pool:
-        assert task.vars == [] and not task.copies  # payloads released
-
-
-def test_tdef_cache_bounded_under_closure_registration(make_world,
-                                                       toggle_pooling):
-    """Apps that register fresh closures every section (the
-    ``make_spmv_task(matrix)`` pattern) must not grow the signature
-    cache without bound — dead entries pin whatever the closure
-    captured."""
-    toggle_pooling(True)
-    world = make_world()
-
-    def prog(ctx, comm):
-        x = np.arange(8, dtype=np.float64)
-        rt = ctx.intra
-        for _ in range(runtime_mod._TDEF_CACHE_MAX + 50):
-            rt.section_begin()
-            fn = lambda a: None           # noqa: E731 — fresh each section
-            tid = rt.task_register(fn, [Tag.IN])
-            rt.task_launch(tid, [x])
-            yield from rt.section_end()
-        return len(rt._tdef_cache)
-
-    job = launch_intra_job(world, prog, 1, degree=1)
-    world.run()
-    (cache_size,) = [info.app_process.value
-                     for row in job.manager.replicas for info in row]
-    assert cache_size <= runtime_mod._TDEF_CACHE_MAX
-
-
-def test_pooling_keeps_section_scoping_errors(make_world, toggle_pooling):
-    """Launching an id not registered in the *current* section still
-    raises, pooled or not (the per-section task_defs scope survives)."""
+def test_pooling_keeps_section_scoping_errors(make_world):
+    """Launching an id not registered in the *current* section raises
+    (task ids are scoped to the section that registered them)."""
     from repro.intra import IntraError
 
-    for pooled in (True, False):
-        toggle_pooling(pooled)
-        world = make_world()
+    world = make_world()
 
-        def prog(ctx, comm):
-            rt = ctx.intra
-            rt.section_begin()
-            tid = rt.task_register(waxpby_task,
-                                   [Tag.IN, Tag.IN, Tag.IN, Tag.IN, Tag.OUT])
-            yield from rt.section_end()
-            rt.section_begin()
-            with pytest.raises(IntraError):
-                rt.task_launch(tid + 1000, [])
-            yield from rt.section_end()
-            return True
+    def prog(ctx, comm):
+        rt = ctx.intra
+        rt.section_begin()
+        tid = rt.task_register(waxpby_task,
+                               [Tag.IN, Tag.IN, Tag.IN, Tag.IN, Tag.OUT])
+        yield from rt.section_end()
+        rt.section_begin()
+        with pytest.raises(IntraError):
+            rt.task_launch(tid, [])
+        yield from rt.section_end()
+        return True
 
-        job = launch_intra_job(world, prog, 1)
-        world.run()
-        assert job.results()
+    job = launch_intra_job(world, prog, 1)
+    world.run()
+    assert job.results()
