@@ -44,7 +44,7 @@ bench:
 bench-e2e:
 	for w in paper-figures failure-sweep fabric-serve; do \
 	    python3 perfbench/run.py --workload $$w --seed 1 --trace 0 \
-	        || exit 1; \
+	        --seconds 15 || exit 1; \
 	done
 
 ## docs: executable snippets in docs/*.md + intra-repo markdown links

@@ -9,6 +9,14 @@ repro.fabric.worker`` daemons, the ``python -m repro.fabric.serve``
 result service — opens the same root and coordinates purely through
 those two files, so any of them can die and restart without losing
 completed work: that is what makes sweeps resumable.
+
+A ``fabric=`` sweep is the local sweep core of :mod:`repro.perf.sweep`
+with this handle's store in place of the cache root and its queue in
+place of the local executor: it enqueues cold points, polls the store
+and expires stale leases while it waits.  Every reader of stored bytes
+(the sweep, :meth:`Fabric.load_result`, the result service) decodes
+through one step, :func:`repro.fabric.store._load_entry`, which
+quarantines corrupt entries.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import typing as _t
 import warnings
 
 from .queue import WorkQueue
-from .store import ResultStore, open_store
+from .store import ResultStore, _load_entry, open_store
 
 __all__ = ["Fabric"]
 
@@ -84,33 +92,15 @@ class Fabric:
     # ---------------------------------------------------------- results
     def load_result(self, key: str) -> _t.Optional[_t.Any]:
         """The stored :class:`~repro.scenarios.run.ModeRun` for ``key``,
-        or ``None`` on a miss.  Corrupt bytes quarantine (file:
-        ``*.corrupt``; sqlite: the ``corrupt`` table), warn, and report
-        a miss — exactly the sweep driver's contract, so a poisoned
-        entry recomputes instead of crashing the fabric."""
-        try:
-            data = self.store.get(key)
-        except Exception as exc:  # noqa: BLE001 — a broken store read
-            # must degrade to a miss, never take down a sweep/service
-            warnings.warn(
-                f"fabric store read failed for {key[:12]}… "
-                f"({type(exc).__name__}: {exc}); treating as a miss",
-                RuntimeWarning, stacklevel=2)
-            return None
-        if data is None:
-            return None
-        try:
-            return pickle.loads(data)
-        except Exception as exc:  # noqa: BLE001 — corrupt pickles raise
-            # nearly anything; quarantine + miss, same as the sweep
-            where = self.store.quarantine(
-                key, f"{type(exc).__name__}: {exc}")
-            note = f"; entry quarantined to {where}" if where else ""
-            warnings.warn(
-                f"ignoring corrupt fabric store entry {key[:12]}… "
-                f"({type(exc).__name__}: {exc}){note}; the point will "
-                f"recompute", RuntimeWarning, stacklevel=2)
-            return None
+        or ``None`` on a miss.  Decodes through the sweep driver's own
+        step (:func:`~repro.fabric.store._load_entry`): corrupt bytes
+        quarantine (file: ``*.corrupt``; sqlite: the ``corrupt``
+        table), warn and report a miss, so a poisoned entry recomputes
+        instead of crashing the fabric."""
+        _hit, mode_run, problem = _load_entry(self.store, key)
+        if problem is not None:
+            warnings.warn(problem, RuntimeWarning, stacklevel=2)
+        return mode_run
 
     def put_result(self, key: str, mode_run: _t.Any) -> None:
         """Store one computed result — the exact bytes the serial sweep

@@ -36,10 +36,10 @@ import sys
 import threading
 import typing as _t
 import urllib.parse
-import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .core import Fabric
+from .store import _load_entry
 
 __all__ = ["FabricServer", "main", "make_server"]
 
@@ -135,12 +135,11 @@ class _Handler(BaseHTTPRequestHandler):
         """Common tail of both routes: warm → 200 RunResult JSON, cold
         → enqueue + 202."""
         fabric = self.server.fabric
-        with warnings.catch_warnings():
-            # corrupt-entry quarantine warns; a service has no console
-            # to warn to — the 202 + recompute IS the handling
-            warnings.simplefilter("ignore", RuntimeWarning)
-            mode_run = fabric.load_result(key)
-        if mode_run is not None:
+        # a corrupt entry is quarantined by the shared decode step and
+        # reads as a miss; the service has no console to warn to, so
+        # the 202 + recompute below is the whole handling
+        hit, mode_run, _problem = _load_entry(fabric.store, key)
+        if hit:
             from ..results import RunResult
             from ..scenarios.spec import Scenario
             scenario = Scenario.from_json(scenario_json)

@@ -22,8 +22,7 @@ keys of :func:`repro.scenarios.scenario_cache_key`.  Two backends ship:
     bytes the file store would write; quarantined entries move to a
     ``corrupt`` table instead of ``*.corrupt`` files.
 
-Selection mirrors the engine-backend seam of
-:mod:`repro.simulate.backends`: process-wide via
+The backend is selected process-wide via
 :func:`set_cache_backend`, from the environment via
 ``REPRO_CACHE_BACKEND`` (parsed defensively at import — garbage warns
 and falls back to ``file``), or explicitly via
@@ -561,3 +560,36 @@ def open_store(root: _t.Union[str, pathlib.Path],
     there, which is what lets ``cache migrate`` convert in place.
     """
     return _STORE_TYPES[resolve_cache_backend(backend)](root)
+
+
+def _load_entry(store: ResultStore, key: str
+                ) -> _t.Tuple[bool, _t.Any, _t.Optional[str]]:
+    """Read and unpickle ``key``'s entry: ``(hit, value, problem)``.
+
+    The one decode step of every reader: the sweep driver (local and
+    ``fabric=`` sweeps), :meth:`repro.fabric.Fabric.load_result` and the
+    result service.  A miss has ``problem`` None unless the read raised
+    (nothing is quarantined then: the bytes were never seen) or the
+    bytes did not unpickle; those are quarantined (file: ``*.corrupt``;
+    sqlite: the ``corrupt`` table) so they never shadow the slot.
+    Sweeps warn with ``problem``; the service answers 202 instead.
+    """
+    try:
+        data = store.get(key)
+    except Exception as exc:  # noqa: BLE001 — a broken read degrades
+        return False, None, (f"result store read failed for {key[:12]}… "
+                             f"({type(exc).__name__}: {exc}); treating "
+                             f"it as a miss")
+    if data is None:
+        return False, None, None
+    try:
+        return True, pickle.loads(data), None
+    except Exception as exc:  # noqa: BLE001 — unpickling corrupt bytes
+        # can raise nearly anything
+        reason = f"{type(exc).__name__}: {exc}"
+        where = store.quarantine(key, reason)
+        note = f"; entry quarantined to {where}" if where else ""
+        label = f"{key}.pkl" if store.backend == "file" else f"{key[:12]}…"
+        return False, None, (f"ignoring corrupt result-store entry "
+                             f"{label} ({reason}){note}; recomputing the "
+                             f"point")

@@ -9,7 +9,10 @@ parallel and its results safely cacheable.
 :func:`run_sweep` fans the points out over a process pool and memoizes
 each point's result on disk, keyed by a *stable* serialization of the
 point descriptor (:func:`stable_token` — plain ``repr`` is not stable
-for sets/dataclasses across hash seeds).
+for sets/dataclasses across hash seeds).  ``repro.sweep(...,
+fabric=...)`` runs through the same core, with a
+:class:`repro.fabric.Fabric`'s store and work queue in place of the
+cache root and the pool (:func:`_fabric_rounds`).
 
 Defaults are conservative: serial and uncached.  The experiment CLI
 (``python -m repro.experiments --workers N``) and the perf benchmark
@@ -177,41 +180,23 @@ def _result_store(cache_dir: pathlib.Path) -> _t.Any:
     return store
 
 
-def _cache_path(cache_dir: pathlib.Path, key: str) -> pathlib.Path:
-    """The file-backend shard path — pinned layout
-    (``tests/api/test_cache_compat.py``); the SQLite backend stores the
-    same bytes in its ``results`` table instead."""
-    return cache_dir / f"{key[:2]}" / f"{key}.pkl"
+def _cache_load(store: _t.Any, key: str) -> _t.Tuple[bool, _t.Any]:
+    """Read one entry through the shared decode step
+    (:func:`repro.fabric.store._load_entry`).  A corrupt entry is
+    quarantined there (kept for post-mortems, ignored by loads:
+    ``.corrupt`` file or ``corrupt`` table row); here it warns and
+    reports a miss, so the point recomputes instead of crashing the
+    sweep."""
+    from ..fabric.store import _load_entry
+    hit, value, problem = _load_entry(store, key)
+    if problem is not None:
+        warnings.warn(problem, RuntimeWarning, stacklevel=3)
+    return hit, value
 
 
-def _cache_load(cache_dir: pathlib.Path, key: str) -> _t.Tuple[bool, _t.Any]:
-    store = _result_store(cache_dir)
+def _cache_store(store: _t.Any, key: str, value: _t.Any) -> None:
     try:
-        data = store.get(key)
-        if data is None:
-            return False, None      # an ordinary miss: nothing stored
-        return True, pickle.loads(data)
-    except Exception as exc:        # noqa: BLE001 — unpickling corrupt
-        # bytes can raise nearly anything; none of it may fail the sweep
-        # Quarantine: an unreadable/corrupt entry must neither crash the
-        # sweep nor shadow its slot forever.  Move it aside (kept for
-        # post-mortems, ignored by loads: ``.corrupt`` file or
-        # ``corrupt`` table row), warn, and report a miss — the point
-        # recomputes and _cache_store rewrites the entry.
-        where = store.quarantine(key, f"{type(exc).__name__}: {exc}")
-        note = f"; entry quarantined to {where}" if where else ""
-        label = f"{key}.pkl" if store.backend == "file" else f"{key[:12]}…"
-        warnings.warn(
-            f"ignoring corrupt sweep-cache entry {label} "
-            f"({type(exc).__name__}: {exc}){note}; recomputing the "
-            f"point", RuntimeWarning, stacklevel=3)
-        return False, None
-
-
-def _cache_store(cache_dir: pathlib.Path, key: str, value: _t.Any) -> None:
-    try:
-        _result_store(cache_dir).put(
-            key, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+        store.put(key, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
     except Exception:  # noqa: BLE001 — disk-full, locked DB, unpicklable
         pass  # caching is best-effort; never fail the sweep
 
@@ -346,6 +331,37 @@ def iter_sweep(points: _t.Sequence[_t.Any],
     The iterator is lazy: nothing runs until the first ``next()``, and
     abandoning it mid-sweep shuts the worker pool down cleanly.
     """
+    return _iter_sweep(points, fn, workers=workers, cache=cache,
+                       cache_dir=cache_dir, tag=tag, timeout=timeout,
+                       retries=retries, backoff=backoff,
+                       on_error=on_error)
+
+
+def _iter_sweep(points: _t.Sequence[_t.Any],
+                fn: _t.Callable[[_t.Any], _t.Any], *,
+                workers: _t.Optional[int] = None,
+                cache: _t.Optional[bool] = None,
+                cache_dir: _t.Optional[_t.Union[str, pathlib.Path]] = None,
+                tag: str = "",
+                timeout: _t.Optional[float] = None,
+                retries: int = 0,
+                backoff: float = 0.5,
+                on_error: str = "raise",
+                fabric: _t.Any = None) -> _t.Iterator[SweepItem]:
+    """The one sweep core: :func:`iter_sweep` (and so
+    :func:`run_sweep`) plus the ``fabric=`` sweeps of :mod:`repro.api`.
+
+    ``fabric`` (a :class:`repro.fabric.Fabric`; the points are then
+    scenarios, keyed by ``fn``/``tag`` exactly as
+    :func:`repro.scenarios.scenario_cache_key` keys them) takes the
+    store from the fabric instead of ``cache_dir`` and runs the pending
+    points through :func:`_fabric_rounds`.  Keys, in-sweep dedupe, warm
+    hits, duplicate fan-out and ``on_error`` stay this code.  Caching is
+    then always on, every warm point is recorded in the fabric's queue
+    (so ``/result/<key>`` can serve it), results the workers stored are
+    never rewritten, ``workers``/``cache``/``retries``/``backoff`` are
+    ignored and ``timeout`` bounds the total wait.
+    """
     if on_error not in ("raise", "return"):
         raise ValueError(f"on_error must be 'raise' or 'return', got "
                          f"{on_error!r}")
@@ -357,8 +373,11 @@ def iter_sweep(points: _t.Sequence[_t.Any],
         raise ValueError("backoff must be non-negative")
     cfg = _config
     n_workers = cfg.workers if workers is None else workers
-    use_cache = cfg.cache if cache is None else cache
+    use_cache = fabric is not None or (cfg.cache if cache is None
+                                       else cache)
     root = pathlib.Path(cache_dir) if cache_dir else cfg.cache_dir
+    store = (fabric.store if fabric is not None
+             else _result_store(root) if use_cache else None)
 
     points = list(points)
     pending: _t.List[int] = []
@@ -375,8 +394,10 @@ def iter_sweep(points: _t.Sequence[_t.Any],
             if owner is not None:
                 duplicates.setdefault(owner, []).append(i)
                 continue
-            hit, value = _cache_load(root, key)
+            hit, value = _cache_load(store, key)
             if hit:
+                if fabric is not None:
+                    fabric.record_scenario(points[i])
                 yield SweepItem(i, points[i], value, True, key)
             else:
                 first_with_key[key] = i
@@ -386,8 +407,8 @@ def iter_sweep(points: _t.Sequence[_t.Any],
         pending = list(range(len(points)))
 
     def finish(i: int, value: _t.Any) -> _t.Iterator[SweepItem]:
-        if use_cache:
-            _cache_store(root, keys[i], value)
+        if use_cache and fabric is None:
+            _cache_store(store, keys[i], value)
         yield SweepItem(i, points[i], value, False, keys[i])
         for dup in duplicates.get(i, ()):
             yield SweepItem(dup, points[dup], value, True, keys[dup])
@@ -401,7 +422,10 @@ def iter_sweep(points: _t.Sequence[_t.Any],
 
     if not pending:
         return
-    if n_workers > 1 and len(pending) > 1:
+    if fabric is not None:
+        yield from _fabric_rounds(points, keys, pending, fabric, timeout,
+                                  on_error, finish, fail)
+    elif n_workers > 1 and len(pending) > 1:
         yield from _pool_rounds(points, fn, pending, n_workers, timeout,
                                 retries, backoff, on_error, finish, fail)
     else:
@@ -432,6 +456,59 @@ def _serial_rounds(points: _t.List[_t.Any], fn: _t.Callable,
             else:
                 yield from finish(i, value)
                 break
+
+
+def _fabric_rounds(points: _t.List[_t.Any], keys: _t.List[_t.Any],
+                   pending: _t.List[int], fabric: _t.Any,
+                   timeout: _t.Optional[float], on_error: str,
+                   finish: _t.Callable,
+                   fail: _t.Callable) -> _t.Iterator[SweepItem]:
+    """Remote execution through a :class:`repro.fabric.Fabric`: enqueue
+    the pending points for the worker daemons sharing its root, then
+    poll its store every ``fabric.poll`` seconds until each point is
+    stored or parked ``failed``.  The queue owns retries and backoff (a
+    raising run or a lost worker charges one queue attempt); each poll
+    also expires stale leases, so a dead worker's point fails over as
+    ``worker-lost`` instead of hanging on its lease.  ``timeout`` bounds
+    the total wait."""
+    for i in pending:
+        fabric.enqueue_scenario(points[i])
+    deadline = None if timeout is None else time.monotonic() + timeout
+    while True:
+        fabric.queue.expire_stale()
+        still: _t.List[int] = []
+        for i in pending:
+            hit, value = _cache_load(fabric.store, keys[i])
+            if hit:
+                yield from finish(i, value)
+                continue
+            item = fabric.queue.get(keys[i])
+            if item is None or item.state != "failed":
+                still.append(i)
+                continue
+            # queue errors read "<kind>: <detail>"; keep the detail
+            # alone, as a local failure does
+            error = item.error or "error: point failed in fabric"
+            kind = ("worker-lost" if error.startswith("worker-lost")
+                    else "error")
+            error = error.removeprefix(f"{kind}: ")
+            if on_error == "raise":
+                raise RuntimeError(
+                    f"fabric point {keys[i][:12]}… failed after "
+                    f"{item.attempts} attempt(s): {error}")
+            yield from fail(i, PointFailure(error, kind, item.attempts))
+        pending = still
+        if not pending:
+            return
+        if deadline is not None and time.monotonic() >= deadline:
+            error = (f"fabric sweep timed out with {len(pending)} "
+                     f"point(s) still pending (are workers running?)")
+            if on_error == "raise":
+                raise TimeoutError(error)
+            for i in pending:
+                yield from fail(i, PointFailure(error, "timeout", 0))
+            return
+        time.sleep(fabric.poll)
 
 
 def _pool_rounds(points: _t.List[_t.Any], fn: _t.Callable,

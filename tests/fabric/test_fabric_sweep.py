@@ -115,3 +115,46 @@ def test_fabric_validates_arguments(tmp_path):
         with pytest.raises(ValueError, match="on_error"):
             repro.sweep(["example:hpccg:intra"], fabric=fab,
                         on_error="explode")
+
+
+def test_dead_workers_lease_expires_into_worker_lost(tmp_path):
+    """The only worker died holding the lease: the waiting sweep
+    expires it and reports ``worker-lost`` instead of its timeout."""
+    with Fabric(tmp_path, backend="sqlite", poll=0.01,
+                max_attempts=1) as fab:
+        key = fab.enqueue_scenario(repro.scenario(NAMES[0]))
+        assert fab.queue.lease("dead-worker", lease_s=0.05).key == key
+        rs = repro.sweep([NAMES[0]], fabric=fab, on_error="return",
+                         timeout=2)
+        assert rs[0].error.startswith("worker-lost:")
+        assert fab.queue.get(key).state == "failed"
+
+
+@pytest.mark.parametrize("backend", ["file", "sqlite"])
+def test_corrupt_entry_in_fabric_sweep_quarantined_and_recomputed(
+        backend, tmp_path):
+    serial = repro.sweep(NAMES, cache=True, cache_dir=tmp_path / "s")
+    with Fabric(tmp_path / "f", backend=backend, poll=0.01) as fab, \
+            Fabric(tmp_path / "f", backend=backend, poll=0.01) as wfab:
+        key = fab.enqueue_scenario(repro.scenario(NAMES[0]))
+        fab.drain()
+        fab.store.put(key, b"\x80rotten")         # rot it behind our back
+        _background_worker(wfab)
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            rs = repro.sweep(NAMES, fabric=fab, timeout=60)
+        assert fab.store.stats().corrupt == 1     # quarantined...
+        assert fab.load_result(key) is not None   # ...and recomputed
+    assert rs.to_json() == serial.to_json()
+
+
+def test_fabric_failure_reads_like_a_local_failure(tmp_path):
+    bad = Scenario(app="no_such_app",
+                   config=KernelBenchConfig(nx=8, ny=8, nz=8, reps=1),
+                   n_logical=2, mode="native")
+    local = repro.sweep([bad], on_error="return")
+    with Fabric(tmp_path, backend="sqlite", poll=0.01,
+                max_attempts=1) as fab:
+        _background_worker(fab, idle_exit=10.0)
+        remote = repro.sweep([bad], fabric=fab, timeout=30,
+                             on_error="return")
+    assert remote[0].error == local[0].error

@@ -5,6 +5,7 @@ import json
 import threading
 import urllib.error
 import urllib.request
+import warnings
 
 import pytest
 
@@ -149,3 +150,33 @@ def test_stats_counts_hits_and_misses(served):
     assert stats["hits"] >= 1 and stats["misses"] >= 1
     assert stats["queue"]["done"] == 1
     assert stats["store"]["entries"] == 1
+
+
+@pytest.mark.parametrize("backend", ["file", "sqlite"])
+def test_corrupt_entry_202s_quietly_and_leaves_warning_filters(backend,
+                                                               tmp_path):
+    """A corrupt entry is quarantined and served as a miss (202 +
+    recompute).  The handler thread neither warns nor edits the
+    process-wide warning filters, which are not thread-safe."""
+    fab = Fabric(tmp_path, backend=backend, poll=0.01)
+    key = fab.enqueue_scenario(TINY)
+    fab.drain()
+    fab.store.put(key, b"\x80rotten")
+    server = make_server(fab)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            before = list(warnings.filters)
+            status, body = _get(f"{server.url}/result/{key}")
+            assert list(warnings.filters) == before
+        assert caught == []
+        assert (status, body["status"]) == (202, "pending")
+        assert fab.store.stats().corrupt == 1            # quarantined
+        assert fab.queue.get(key).state == "ready"       # re-enqueued
+        _, stats = _get(f"{server.url}/stats")
+        assert (stats["hits"], stats["misses"]) == (0, 1)
+    finally:
+        server.shutdown()
+        server.server_close()
+        fab.close()
